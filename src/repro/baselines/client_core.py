@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.pruning import _candidate_pairs  # same pair semantics as Φ
+from repro.core.pairs import candidate_pairs
 from repro.core.scorer import score_from_sum, score_np
 from repro.core.spec import CompareSpec, side_prefix
 
@@ -40,7 +40,9 @@ def _aligned(t1, t2):
 def score_all_pairs(spec: CompareSpec, trends1: dict, trends2: dict, gm_idx: int):
     """(tid1, tid2, gm_idx, score) for every comparable pair with matches."""
     rows = []
-    for a, b in _candidate_pairs(spec, list(trends1), list(trends2)):
+    t1_ids, t2_ids = list(trends1), list(trends2)
+    for i, j in zip(*candidate_pairs(spec, t1_ids, t2_ids)):
+        a, b = t1_ids[i], t2_ids[j]
         v1, v2 = _aligned(trends1[a], trends2[b])
         if v1.size == 0:
             continue
@@ -65,7 +67,9 @@ def topk_pairs(
     for gi, (t1s, t2s) in enumerate(per_gm):
         sums1 = {t: _summary(v) for t, v in t1s.items()}
         sums2 = sums1 if t1s is t2s else {t: _summary(v) for t, v in t2s.items()}
-        for a, b in _candidate_pairs(spec, list(t1s), list(t2s)):
+        t1_ids, t2_ids = list(t1s), list(t2s)
+        for i, j in zip(*candidate_pairs(spec, t1_ids, t2_ids)):
+            a, b = t1_ids[i], t2_ids[j]
             lo, hi, cnt = _pair_bounds(spec, sums1[a], sums2[b], t1s[a], t2s[b])
             if cnt == 0:
                 continue

@@ -7,6 +7,7 @@ merged, trendwise and pruned plans all emit identical output relations.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -60,6 +61,35 @@ def pair_condition(spec: CompareSpec) -> Column | None:
             eq = eq & (x == y)
         return ~eq
     return None
+
+
+def _constraint_tuple(ts: TrendsetSpec, tid: tuple) -> tuple:
+    """A trend's full constraint tuple, ordered by column name (cf. _constraint_fields)."""
+    vary = iter(tid)
+    vals = {t.col: next(vary) if t.varies else t.value for t in ts.terms}
+    return tuple(vals[c] for c in sorted(ts.cols))
+
+
+def candidate_pairs(
+    spec: CompareSpec, t1_ids: list[tuple], t2_ids: list[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Driver-side :func:`pair_condition`: index arrays ``(ia, ib)`` into the
+    two sides' trend-id lists (vary-column tuples), row-major order.
+
+    Trends compare by full constraint tuple, as in the Spark join:
+    ``dedup_symmetric`` keeps ``a < b``, ``exclude_equal`` drops ``a == b``.
+    """
+    c1 = [_constraint_tuple(spec.t1, t) for t in t1_ids]
+    c2 = [_constraint_tuple(spec.t2, t) for t in t2_ids]
+    if spec.dedup_symmetric or spec.exclude_equal:
+        # rank both sides' tuples in one order: tuple < and == become int ops
+        rank = {c: i for i, c in enumerate(sorted(set(c1) | set(c2)))}
+        r1 = np.fromiter((rank[c] for c in c1), np.int64, len(c1))[:, None]
+        r2 = np.fromiter((rank[c] for c in c2), np.int64, len(c2))[None, :]
+        keep = r1 < r2 if spec.dedup_symmetric else r1 != r2
+    else:
+        keep = np.ones((len(c1), len(c2)), dtype=bool)
+    return np.nonzero(keep)
 
 
 def pair_key_cols(spec: CompareSpec) -> list[str]:

@@ -1,27 +1,38 @@
 """The Φp pruning physical operator for DIFF-based comparison (paper §5).
 
-Summarize → Bound → Prune:
+Summarize → Bound → Prune → refine:
 
 1. **Summarize** — each trend is summarized by *segment aggregates*
-   (COUNT, SUM, MIN, MAX per segment) plus the set of grouping keys per
-   segment (the paper's bitmap, used to COUNT matching tuples between
-   trends). Segment count follows Sturges, ``floor(1 + log2(n))``.
-   Segments are aligned on **global grouping-value quantile buckets**
-   (identical to the paper's index segments when trend domains
-   coincide, and sound when they do not — see DESIGN.md §4). Summaries
-   are computed *in Spark* (a groupBy over trend × segment) and
-   collected: O(p · log(n/p)) floats.
-2. **Bound** — per pair: lower bound per fully-matched segment is
-   ``cnt · DIFF(avg1, avg2, p)`` (Theorem 1, convexity); upper bound is
+   (COUNT, SUM, MIN, MAX per segment) plus its key bitmap (the paper's
+   bitmap, used to COUNT matching tuples between trends). Segment count
+   follows Sturges, ``floor(1 + log2(n))``. Segments are aligned on
+   **global grouping-value quantile buckets** (identical to the paper's
+   index segments when trend domains coincide, and sound when they do
+   not — see DESIGN.md §4). Summaries are computed *in Spark* (one
+   groupBy over trend × segment per block) and decoded into dense
+   (trends × segments) arrays plus a (trends × domain) bitmap
+   (:class:`SegAgg`): O(p · log(n/p)) floats.
+2. **Bound** — for every candidate pair at once, as (pairs × segments)
+   broadcasts (:func:`bound_pairs`): the matched COUNT per segment is
+   the AND+sum of the two bitmaps; the lower bound of a fully-matched
+   segment is ``cnt · DIFF(avg1, avg2, p)`` (Theorem 1, convexity); the
+   upper bound of any matched segment is
    ``cnt · max(|max1−min2|, |max2−min1|)^p`` (non-negativity +
    monotonicity). Sums over segments bound ``SUM OVER DIFF(p)``; AVG
-   scores divide by the exact matched count (known from the bitmaps).
+   scores divide by the exact matched count.
 3. **Prune** — the threshold T is the k-th best pessimistic bound over
-   all pairs; any pair whose optimistic bound cannot reach T is pruned
-   *before its tuples are ever joined*. Surviving trends' aggregated
-   vectors are then fetched and refined one segment (or a configurable
-   tuple chunk, Fig. 12) at a time under two priority queues
-   (Algorithm 2) until the top-k pairs are exact.
+   all pairs (one ``np.partition``); any pair whose optimistic bound
+   cannot reach T is pruned *before its tuples are ever joined*.
+   Surviving trends' aggregated vectors are then fetched and refined
+   one segment (or a configurable tuple chunk, Fig. 12) at a time under
+   two priority queues (Algorithm 2) until the top-k pairs are exact.
+
+The TState of a pair is a row index into columns (:class:`_Phi`):
+per-segment bounds and matched counts, refinement cursor, pruned flag,
+optimistic / pessimistic bound. PQ_S is the set of k rows with the best
+pessimistic bounds, so reading T costs O(k) per refinement step, not a
+scan over every pair. Rows are sorted by output identity, so ties at
+equal scores break as in :func:`repro.core.compare.topk_exact`.
 
 This module is the paper's new physical operator; Algorithm 2 runs
 single-threaded on the driver (as in the paper's pseudo-code) over
@@ -29,25 +40,19 @@ Spark-computed summaries — see DESIGN.md §2 for the layering argument.
 """
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .aggregates import (
-    G_COL,
-    V_COL,
-    MergeGroup,
-    build_side_aggregates,  # noqa: F401  (used by tests driving phase internals)
-    build_vector_blocks,
-    same_grouping_groups,
-)
-from .scorer import score_from_sum
-from .spec import CompareSpec, GM, output_cols, side_prefix
+from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks, same_grouping_groups
+from .pairs import candidate_pairs
+from .spec import CompareSpec, output_cols, side_prefix
 
 
 def sturges(n: int) -> int:
@@ -82,43 +87,31 @@ class PruneStats:
 
 
 @dataclass
-class _TrendSummary:
-    """SegAgg of one trend: per-bucket aggregates + key sets (bitmap)."""
+class Segmentation:
+    """One grouping column's domain, cut into contiguous quantile segments."""
 
-    cnt: np.ndarray
-    sum: np.ndarray
-    min: np.ndarray
-    max: np.ndarray
-    keys: list[np.ndarray]  # global key indices per bucket, sorted
+    domain: list  # sorted distinct grouping values; a key is an index into it
+    edges: np.ndarray  # segment b holds keys edges[b]:edges[b+1]
+    bucket_df: DataFrame | None  # (__g, __gi, __b) for the Spark join; None if empty
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.edges) - 1
 
 
 @dataclass
-class _PairState:
-    """TState of a candidate pair (bounds + refinement cursor)."""
+class SegAgg:
+    """SegAgg of every trend of one side for one (g, m), as dense arrays.
 
-    gm_idx: int
-    t1: tuple
-    t2: tuple
-    buckets: list[int]
-    inter: list[np.ndarray]
-    cnt: int
-    lb_b: np.ndarray
-    ub_b: np.ndarray
-    next_b: int = 0
-    pruned: bool = False
-    heap_key: float = field(default=0.0)
+    Rows are the side's trends, in the order of its trend-id list.
+    """
 
-    @property
-    def lb_sum(self) -> float:
-        return float(self.lb_b.sum())
-
-    @property
-    def ub_sum(self) -> float:
-        return float(self.ub_b.sum())
-
-    @property
-    def exact(self) -> bool:
-        return self.next_b >= len(self.buckets)
+    cnt: np.ndarray  # (trends, segments) int64: tuples per segment
+    sum: np.ndarray  # (trends, segments) float64
+    min: np.ndarray  # (trends, segments) float64, +inf where empty
+    max: np.ndarray  # (trends, segments) float64, -inf where empty
+    member: np.ndarray  # (trends, domain) bool: the key bitmap
+    edges: np.ndarray  # Segmentation.edges
 
 
 def _py(v):
@@ -126,161 +119,270 @@ def _py(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def _collect_summaries(
-    rel: DataFrame, vary_cols: tuple[str, ...], bucket_df: DataFrame, n_buckets: int
-) -> dict[tuple, _TrendSummary]:
-    """Compute per-(trend, segment) aggregates in Spark and collect them."""
-    joined = rel.join(F.broadcast(bucket_df), on=G_COL, how="inner")
-    agg = joined.groupBy(*vary_cols, "__b").agg(
-        F.count(V_COL).alias("__cnt"),
-        F.sum(V_COL).alias("__sum"),
-        F.min(V_COL).alias("__min"),
-        F.max(V_COL).alias("__max"),
-        F.sort_array(F.collect_list("__gi")).alias("__keys"),
-    )
-    out: dict[tuple, _TrendSummary] = {}
-    for row in agg.collect():
-        tid = tuple(row[c] for c in vary_cols)
-        s = out.get(tid)
-        if s is None:
-            s = out[tid] = _TrendSummary(
-                cnt=np.zeros(n_buckets, dtype=np.int64),
-                sum=np.zeros(n_buckets, dtype=np.float64),
-                min=np.full(n_buckets, np.inf),
-                max=np.full(n_buckets, -np.inf),
-                keys=[np.empty(0, dtype=np.int64)] * n_buckets,
-            )
-        b = row["__b"]
-        s.cnt[b] = row["__cnt"]
-        s.sum[b] = row["__sum"]
-        s.min[b] = row["__min"]
-        s.max[b] = row["__max"]
-        s.keys[b] = np.asarray(row["__keys"], dtype=np.int64)
+def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str, Segmentation]:
+    """Domain and segments of each grouping column: one Spark action each."""
+    out: dict[str, Segmentation] = {}
+    for blk in blocks:
+        if blk.g in out:
+            continue
+        dom = blk.rel2.select(G_COL)
+        if not blk.shared:
+            dom = dom.union(blk.rel1.select(G_COL))
+        gvals = sorted(r[0] for r in dom.distinct().collect())
+        nd = len(gvals)
+        l = n_segments if n_segments is not None else sturges(nd)
+        l = max(1, min(l, nd)) if nd else 1
+        seg_of = (np.arange(nd, dtype=np.int64) * l) // max(nd, 1)
+        bucket_df = blk.rel2.sparkSession.createDataFrame(
+            pd.DataFrame({G_COL: gvals, "__gi": np.arange(nd, dtype=np.int64), "__b": seg_of})
+        ) if nd else None
+        out[blk.g] = Segmentation(gvals, np.searchsorted(seg_of, np.arange(l + 1)), bucket_df)
     return out
 
 
-def _collect_vectors(
-    rel: DataFrame,
-    vary_cols: tuple[str, ...],
-    survivors: set[tuple],
-    gidx: dict,
-    spark: SparkSession,
-) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """Fetch (sorted key-index, value) vectors for surviving trends only."""
-    if not survivors:
-        return {}
-    if vary_cols:
-        sdf = spark.createDataFrame(
-            pd.DataFrame([{c: _py(v) for c, v in zip(vary_cols, t)} for t in survivors])
+def _trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | None = None):
+    """Trend ids (sorted vary-value tuples, unless given) and each row's index into them."""
+    if not vary:
+        return ([()] if len(pdf) else []), np.zeros(len(pdf), dtype=np.int64)
+    rows = pd.MultiIndex.from_frame(pdf[list(vary)])
+    if tids is None:
+        tids = sorted(rows.unique())
+    if not tids:
+        return tids, np.zeros(0, dtype=np.int64)
+    return tids, pd.MultiIndex.from_tuples(tids).get_indexer(rows)
+
+
+def summarize(
+    rel: DataFrame, vary: tuple[str, ...], blk: VectorBlock, seg: Segmentation
+) -> tuple[list[tuple], dict]:
+    """Summarize one side of a block: its trend ids and a SegAgg per (g, m).
+
+    Segment aggregates of every measure of the block come from ONE
+    groupBy over trend × segment, fetched through Arrow.
+    """
+    l, nd = seg.n_segments, len(seg.domain)
+    aggs = {"__cnt": F.count(F.lit(1)), "__keys": F.sort_array(F.collect_list("__gi"))}
+    for vc in blk.value_cols.values():
+        aggs.update({"s" + vc: F.sum(vc), "n" + vc: F.min(vc), "x" + vc: F.max(vc)})
+    pdf = pd.DataFrame(columns=[*vary, "__b", *aggs])  # empty domain: no rows
+    if seg.bucket_df is not None:
+        pdf = (
+            rel.join(F.broadcast(seg.bucket_df), on=G_COL, how="inner")
+            .groupBy(*vary, "__b")
+            .agg(*(c.alias(name) for name, c in aggs.items()))
+            .toPandas()
         )
-        rel = rel.join(F.broadcast(sdf), on=list(vary_cols), how="left_semi")
-    out: dict[tuple, list] = {}
-    for row in rel.collect():
-        tid = tuple(row[c] for c in vary_cols)
-        out.setdefault(tid, []).append((gidx[row[G_COL]], row[V_COL]))
-    vecs = {}
-    for tid, kv in out.items():
-        kv.sort()
-        k = np.fromiter((x[0] for x in kv), dtype=np.int64, count=len(kv))
-        v = np.fromiter((x[1] for x in kv), dtype=np.float64, count=len(kv))
-        vecs[tid] = (k, v)
-    return vecs
+    tids, ti = _trend_rows(pdf, vary)
+    b = pdf["__b"].to_numpy(dtype=np.int64)
+    cnt = np.zeros((len(tids), l), dtype=np.int64)
+    cnt[ti, b] = pdf["__cnt"].to_numpy(dtype=np.int64)
+    member = np.zeros((len(tids), nd), dtype=bool)
+    if len(pdf):
+        keys = pdf["__keys"]
+        member[np.repeat(ti, keys.map(len)), np.concatenate(keys.tolist()).astype(np.int64)] = True
+    out = {}
+    for gm, vc in blk.value_cols.items():
+        arrs = []
+        for pre, fill in (("s", 0.0), ("n", np.inf), ("x", -np.inf)):
+            a = np.full((len(tids), l), fill)
+            a[ti, b] = pdf[pre + vc].to_numpy(dtype=np.float64)
+            arrs.append(a)
+        out[gm] = SegAgg(cnt, *arrs, member, seg.edges)
+    return tids, out
 
 
-def _constraint_tuple(spec: CompareSpec, side: int, tid: tuple) -> tuple:
-    """Full constraint tuple (sorted col order) for identity comparison."""
-    ts = spec.t1 if side == 1 else spec.t2
-    vary = list(ts.vary_cols)
-    vals = {}
-    for t in ts.terms:
-        vals[t.col] = t.value if not t.varies else tid[vary.index(t.col)]
-    return tuple(vals[c] for c in sorted(ts.cols))
+def bound_pairs(s1: SegAgg, s2: SegAgg, ia: np.ndarray, ib: np.ndarray, p: int):
+    """Matched counts and SUM OVER DIFF(p) bounds of pairs ``(ia[j], ib[j])``.
+
+    Returns ``(matched, lb, ub)``, each (pairs × segments). The matched
+    COUNT of a segment is the AND+sum (a 0/1 dot product) of the two key
+    bitmaps; Theorem 1 gives ``lb`` where a segment is fully matched on
+    both sides (0 elsewhere), the max-gap bound gives ``ub`` wherever a
+    segment has matches.
+    """
+    m1, m2 = s1.member.astype(np.float64), s2.member.astype(np.float64)
+    e = s1.edges
+    matched = np.zeros((len(ia), len(e) - 1), dtype=np.int64)
+    for b in range(len(e) - 1):
+        matched[:, b] = (m1[:, e[b]:e[b + 1]] @ m2[:, e[b]:e[b + 1]].T)[ia, ib]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg1, avg2 = s1.sum / s1.cnt, s2.sum / s2.cnt
+        full = (matched > 0) & (matched == s1.cnt[ia]) & (matched == s2.cnt[ib])
+        lb = np.where(full, matched * np.abs(avg1[ia] - avg2[ib]) ** p, 0.0)
+        gap = np.maximum(np.abs(s1.max[ia] - s2.min[ib]), np.abs(s2.max[ib] - s1.min[ia]))
+        ub = np.where(matched > 0, matched * gap**p, 0.0)
+    return matched, lb, ub
 
 
-def _candidate_pairs(spec: CompareSpec, t1_ids, t2_ids):
-    for a in t1_ids:
-        ca = _constraint_tuple(spec, 1, a)
-        for b in t2_ids:
-            cb = _constraint_tuple(spec, 2, b)
-            if spec.dedup_symmetric:
-                if not ca < cb:
-                    continue
-            elif spec.exclude_equal and ca == cb:
-                continue
-            yield a, b
+class _Phi:
+    """Driver-side state of one Φp invocation across all (g, m).
 
+    The TState of pair ``i`` is row ``i`` of the columns below; rows are
+    sorted by output identity (l_ trend, r_ trend, grouping, measure).
+    """
 
-def _bounds(s1: _TrendSummary, s2: _TrendSummary, p: int):
-    """Per-bucket bounds on SUM OVER DIFF(p) between two trends."""
-    buckets, inter, lbs, ubs = [], [], [], []
-    n = len(s1.cnt)
-    for b in range(n):
-        k1, k2 = s1.keys[b], s2.keys[b]
-        if len(k1) == 0 or len(k2) == 0:
-            continue
-        if len(k1) == len(k2) and np.array_equal(k1, k2):
-            ik = k1  # dense, fully-aligned segment (the common case)
-        else:
-            ik = np.intersect1d(k1, k2, assume_unique=True)
-        c = len(ik)
-        if c == 0:
-            continue
-        gap = max(abs(s1.max[b] - s2.min[b]), abs(s2.max[b] - s1.min[b]))
-        ub = c * gap**p
-        if c == s1.cnt[b] == s2.cnt[b]:
-            # fully matched segment: Theorem 1 applies to the segment AVGs
-            lb = c * abs(s1.sum[b] / s1.cnt[b] - s2.sum[b] / s2.cnt[b]) ** p
-        else:
-            lb = 0.0  # partially matched: 0 is the sound lower bound
-        buckets.append(b)
-        inter.append(ik)
-        lbs.append(lb)
-        ubs.append(ub)
-    return buckets, inter, np.asarray(lbs), np.asarray(ubs)
-
-
-def _refine_bucket(pair: _PairState, vec1, vec2, p: int) -> int:
-    """Replace one bucket's bounds with the exact partial score."""
-    i = pair.next_b
-    ik = pair.inter[i]
-    k1, v1 = vec1
-    k2, v2 = vec2
-    d = np.abs(v1[np.searchsorted(k1, ik)] - v2[np.searchsorted(k2, ik)])
-    exact = float(np.sum(d * d if p == 2 else d**p))
-    pair.lb_b[i] = exact
-    pair.ub_b[i] = exact
-    pair.next_b += 1
-    return len(ik)
-
-
-class _Phi(object):
-    """Driver-side state of one Φp invocation across all (g, m)."""
-
-    def __init__(self, spec: CompareSpec, k: int, ascending: bool):
+    def __init__(self, spec: CompareSpec, k: int, ascending: bool, gm, ia, ib, matched, lb, ub):
         self.spec, self.k, self.asc = spec, k, ascending
-        self.pairs: list[_PairState] = []
-        self.stats = PruneStats()
+        self.gm, self.ia, self.ib = gm, ia, ib
+        self.matched, self.lb, self.ub = matched, lb, ub  # (pairs × segments)
+        self.cnt = matched.sum(axis=1)
+        self.left = (matched > 0).sum(axis=1)  # segments still to refine
+        self.next = np.zeros(len(gm), dtype=np.int64)  # refinement cursor
+        self.pruned = np.zeros(len(gm), dtype=bool)
+        lo, hi = self._score(lb.sum(axis=1), self.cnt), self._score(ub.sum(axis=1), self.cnt)
+        # optimistic / pessimistic bounds under the requested direction
+        self.opt = -lo if ascending else hi
+        self.pess = -hi if ascending else lo
+        self.stats = PruneStats(n_pairs=len(gm))
+        self._rebuild_pq_s()
 
-    # score-scale bounds (SUM bounds converted through the scorer)
-    def _lo(self, pr: _PairState) -> float:
-        return score_from_sum(self.spec.scorer, pr.lb_sum, pr.cnt)
+    def _score(self, total, cnt):
+        """SUM-of-DIFF bound(s) → the scorer's scale (SUM or AVG)."""
+        return total / cnt if self.spec.scorer.agg == "AVG" else total
 
-    def _hi(self, pr: _PairState) -> float:
-        return score_from_sum(self.spec.scorer, pr.ub_sum, pr.cnt)
+    # ---- PQ_S: the k rows with the best pessimistic bounds; T is their min
+    def _rebuild_pq_s(self) -> None:
+        self.in_top = np.zeros(len(self.pess), dtype=bool)
+        if len(self.pess) <= self.k:
+            self.top, self.thr = None, -np.inf
+            return
+        self.top = np.argpartition(self.pess, -self.k)[-self.k:]
+        self.in_top[self.top] = True
+        self.thr = float(self.pess[self.top].min())
 
-    # optimistic / pessimistic bounds under the requested direction
-    def opt(self, pr: _PairState) -> float:
-        return self._hi(pr) if not self.asc else -self._lo(pr)
+    def _update_pq_s(self, i: int, old: float) -> None:
+        """Pair ``i``'s pessimistic bound moved from ``old``: keep PQ_S and T exact.
 
-    def pess(self, pr: _PairState) -> float:
-        return self._lo(pr) if not self.asc else -self._hi(pr)
+        Pruned pairs stay in the candidate set: their pessimistic bounds
+        lie below T, so they never enter PQ_S.
+        """
+        v = self.pess[i]
+        if self.top is None or (v <= self.thr and not self.in_top[i]):
+            return
+        if self.in_top[i]:
+            if v < old:  # float rounding lowered a bound: rebuild
+                self._rebuild_pq_s()
+                return
+        else:
+            j = int(np.argmin(self.pess[self.top]))
+            self.in_top[self.top[j]] = False
+            self.top[j] = i
+            self.in_top[i] = True
+        self.thr = float(self.pess[self.top].min())
 
-    def threshold(self) -> float:
-        """k-th largest pessimistic bound over unpruned pairs (PQ_S top)."""
-        vals = np.asarray([self.pess(p) for p in self.pairs if not p.pruned])
-        if len(vals) <= self.k:
-            return -np.inf
-        return float(np.partition(vals, -self.k)[-self.k])
+    def prune_initial(self) -> None:
+        slack = _prune_slack(self.thr)
+        self.pruned = self.opt < self.thr - slack
+        self.stats.pruned_initial = int(self.pruned.sum())
+
+    def refine(self, i: int, vecs) -> None:
+        """Replace whole segments' bounds of pair ``i`` with exact partial
+        scores, in segment order, until one update's worth of matched
+        tuples is compared (Fig. 12 knob)."""
+        v1, m1, v2, m2, e = vecs[self.gm[i]]
+        a, b, row, p = self.ia[i], self.ib[i], self.matched[i], self.spec.scorer.p
+        lb, ub = self.lb[i], self.ub[i]
+        s, done, left, budget = int(self.next[i]), 0, int(self.left[i]), self.budget[i]
+        while left and done < budget:
+            while not row[s]:
+                s += 1
+            lo, hi = e[s], e[s + 1]
+            d = np.abs(v1[a, lo:hi] - v2[b, lo:hi])[m1[a, lo:hi] & m2[b, lo:hi]]
+            lb[s] = ub[s] = (d * d if p == 2 else d**p).sum()
+            done += row[s]
+            s += 1
+            left -= 1
+            self.stats.segments_refined += 1
+        self.next[i], self.left[i] = s, left
+        self.stats.tuples_compared += int(done)
+        self.stats.refine_steps += 1
+        lo_s, hi_s = self._score(lb.sum(), self.cnt[i]), self._score(ub.sum(), self.cnt[i])
+        self.opt[i] = -lo_s if self.asc else hi_s
+        self.pess[i] = -hi_s if self.asc else lo_s
+
+    def topk(self, vecs, tuples_per_update: int | None, early_termination: bool) -> list[int]:
+        """Rows of the exact top-k pairs, best first (ties by identity)."""
+        # matched tuples per update: the knob, else one average segment
+        self.budget = (
+            np.full(len(self.cnt), tuples_per_update) if tuples_per_update
+            else np.maximum(1, self.cnt // np.maximum(1, self.left))
+        )
+        alive = np.flatnonzero(~self.pruned)
+        if not early_termination:
+            # ablation stage: segment pruning only — score all survivors fully
+            for i in alive:
+                while self.left[i]:
+                    self.refine(i, vecs)
+            return alive[np.argsort(-self.opt[alive], kind="stable")][: self.k].tolist()
+        # Algorithm 2: PQ over optimistic bounds, incremental refinement
+        heap = [(-float(self.opt[i]), i) for i in alive.tolist()]
+        heapq.heapify(heap)
+        results: list[int] = []
+        while heap and len(results) < self.k:
+            _, i = heapq.heappop(heap)
+            if not self.left[i]:
+                results.append(i)  # max optimistic bound and exact ⇒ next best
+                continue
+            old = self.pess[i]
+            self.refine(i, vecs)
+            self._update_pq_s(i, old)
+            if self.opt[i] < self.thr - _prune_slack(self.thr):
+                self.pruned[i] = True
+                self.stats.pruned_refining += 1
+                continue
+            heapq.heappush(heap, (-float(self.opt[i]), i))
+        return results
+
+
+def _bound_all(spec: CompareSpec, sides: list):
+    """TState columns ``(gm, ia, ib, matched, lb, ub)`` of every candidate
+    pair with matches, rows sorted by output identity (l_ trend, r_ trend,
+    grouping, measure) — the tie order of ``topk_exact``."""
+    rank1 = {t: r for r, t in enumerate(sorted({t for (t1, _), _ in sides for t in t1}))}
+    rank2 = {t: r for r, t in enumerate(sorted({t for _, (t2, _) in sides for t in t2}))}
+    by_name = sorted(range(len(spec.gms)), key=lambda j: (spec.gms[j][0], spec.gms[j][1].name))
+    gm_rank = np.argsort(by_name)
+    parts = []
+    for gi, ((tids1, aggs1), (tids2, aggs2)) in enumerate(sides):
+        gm = spec.gms[gi]
+        ia, ib = candidate_pairs(spec, tids1, tids2)
+        matched, lb, ub = bound_pairs(aggs1[gm], aggs2[gm], ia, ib, spec.scorer.p)
+        keep = matched.sum(axis=1) > 0  # no matching grouping values: no score (Def. 7)
+        ia, ib = ia[keep], ib[keep]
+        key1 = np.array([rank1[t] for t in tids1], dtype=np.int64)[ia]
+        key2 = np.array([rank2[t] for t in tids2], dtype=np.int64)[ib]
+        parts.append((np.full(len(ia), gi), ia, ib, key1, key2, matched[keep], lb[keep], ub[keep]))
+    gm, ia, ib, key1, key2 = (np.concatenate(c) for c in list(zip(*parts))[:5])
+    # groupings with fewer segments are padded with empty ones
+    n_seg = max(part[5].shape[1] for part in parts)
+    matched, lb, ub = (
+        np.concatenate([np.pad(a, ((0, 0), (0, n_seg - a.shape[1]))) for a in c])
+        for c in list(zip(*parts))[5:]
+    )
+    order = np.lexsort((gm_rank[gm], key2, key1))
+    return gm[order], ia[order], ib[order], matched[order], lb[order], ub[order]
+
+
+def _fetch_values(
+    rel: DataFrame, vary: tuple[str, ...], blk: VectorBlock, seg: Segmentation,
+    tids: list[tuple], rows,
+) -> dict:
+    """Dense (trends × domain) value arrays per (g, m) of a block side,
+    filled for the trend rows ``rows`` only (one Spark action)."""
+    out = {gm: np.full((len(tids), len(seg.domain)), np.nan) for gm in blk.value_cols}
+    if not len(rows):
+        return out
+    if vary:
+        sdf = rel.sparkSession.createDataFrame(
+            pd.DataFrame([dict(zip(vary, map(_py, tids[r]))) for r in rows])
+        )
+        rel = rel.join(F.broadcast(sdf), on=list(vary), how="left_semi")
+    pdf = rel.toPandas()
+    _, ti = _trend_rows(pdf, vary, tids)
+    gi = pd.Index(seg.domain).get_indexer(pdf[G_COL])
+    for gm, vc in blk.value_cols.items():
+        out[gm][ti, gi] = pdf[vc].to_numpy(dtype=np.float64)
+    return out
 
 
 def compare_topk_pruned(
@@ -310,239 +412,71 @@ def compare_topk_pruned(
     spark = df.sparkSession
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     # Block-organized aggregates (§4.2 sharing): one relation per grouping
-    # column carrying every measure, persisted for the three phases below.
+    # column carrying every measure, persisted for the phases below.
     blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides)
-    gm_block: dict = {}
-    for bi, blk in enumerate(blocks):
-        for gm, vc in blk.value_cols.items():
-            gm_block[gm] = (bi, vc)
+    segs = segmentations(blocks, n_segments)
+    gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
 
-    # ---- grouping domains: one Spark action per distinct grouping column --
-    domains: dict[str, list] = {}
+    # ---- Summarize: one groupBy per block side ----------------------------
+    sides: list = [None] * len(spec.gms)  # gi -> ((tids1, aggs1), (tids2, aggs2))
+    n_trends = n_floats = 0
     for blk in blocks:
-        if blk.g in domains:
-            continue
-        dom = blk.rel2.select(G_COL)
-        if not blk.shared:
-            dom = dom.union(blk.rel1.select(G_COL))
-        domains[blk.g] = sorted(r[0] for r in dom.distinct().collect())
-
-    buckets_by_g: dict[str, tuple] = {}
-    for g, gvals in domains.items():
-        nd = len(gvals)
-        l = n_segments if n_segments is not None else sturges(nd)
-        l = max(1, min(l, nd)) if nd else 1
-        gidx = {v: i for i, v in enumerate(gvals)}
-        bucket_df = spark.createDataFrame(
-            pd.DataFrame(
-                {G_COL: [_py(v) for v in gvals],
-                 "__gi": np.arange(nd, dtype=np.int64),
-                 "__b": (np.arange(nd, dtype=np.int64) * l) // max(nd, 1)}
-            )
-        ) if nd else None
-        buckets_by_g[g] = (gidx, bucket_df, l)
-
-    phi = _Phi(spec, k, ascending)
-
-    # ---- summaries (Summarize): segment aggregates for every measure of a
-    # block in ONE groupBy; fetched through Arrow, not row collect ----------
-    def _block_summaries(rel, vary, blk):
-        bucket_df = buckets_by_g[blk.g][1]
-        l = buckets_by_g[blk.g][2]
-        vcs = list(blk.value_cols.values())
-        if bucket_df is None:
-            return {gm: {} for gm in blk.value_cols}
-        aggs = [F.count(F.lit(1)).alias("__cnt"),
-                F.sort_array(F.collect_list("__gi")).alias("__keys")]
-        for vc in vcs:
-            aggs += [F.sum(vc).alias("s" + vc), F.min(vc).alias("n" + vc),
-                     F.max(vc).alias("x" + vc)]
-        pdf = (
-            rel.join(F.broadcast(bucket_df), on=G_COL, how="inner")
-            .groupBy(*vary, "__b")
-            .agg(*aggs)
-            .toPandas()
-        )
-        out = {gm: {} for gm in blk.value_cols}
-        col = {name: pdf[name].to_numpy() for name in pdf.columns}
-        for i in range(len(pdf)):
-            tid = tuple(col[c][i] for c in vary)
-            b = col["__b"][i]
-            keys = np.asarray(col["__keys"][i], dtype=np.int64)
-            for gm, vc in blk.value_cols.items():
-                s = out[gm].get(tid)
-                if s is None:
-                    s = out[gm][tid] = _TrendSummary(
-                        cnt=np.zeros(l, dtype=np.int64),
-                        sum=np.zeros(l, dtype=np.float64),
-                        min=np.full(l, np.inf),
-                        max=np.full(l, -np.inf),
-                        keys=[np.empty(0, dtype=np.int64)] * l,
-                    )
-                s.cnt[b] = col["__cnt"][i]
-                s.sum[b] = col["s" + vc][i]
-                s.min[b] = col["n" + vc][i]
-                s.max[b] = col["x" + vc][i]
-                s.keys[b] = keys
-        return out
-
-    s1_by_gm: dict = {}
-    s2_by_gm: dict = {}
-    for blk in blocks:
-        s2 = _block_summaries(blk.rel2, spec.t2.vary_cols, blk)
-        s1 = s2 if blk.shared else _block_summaries(blk.rel1, spec.t1.vary_cols, blk)
+        seg = segs[blk.g]
+        s2 = summarize(blk.rel2, spec.t2.vary_cols, blk, seg)
+        s1 = s2 if blk.shared else summarize(blk.rel1, spec.t1.vary_cols, blk, seg)
+        n = len(s2[0]) + (0 if blk.shared else len(s1[0]))
+        n_trends += n * len(blk.value_cols)
+        n_floats += 4 * seg.n_segments * n * len(blk.value_cols)
         for gm in blk.value_cols:
-            s2_by_gm[gm] = s2[gm]
-            s1_by_gm[gm] = s1[gm]
+            sides[gm_index[gm]] = (s1, s2)
 
-    # ---- Bound: per-pair segment bounds; candidate pairs per (g, m) -------
-    for gi, gm in enumerate(spec.gms):
-        s1, s2 = s1_by_gm[gm], s2_by_gm[gm]
-        shared = blocks[gm_block[gm][0]].shared
-        l = buckets_by_g[gm[0]][2]
-        phi.stats.total_trends += len(s2) + (0 if shared else len(s1))
-        phi.stats.summary_floats += 4 * l * (len(s2) + (0 if shared else len(s1)))
-        for a, b in _candidate_pairs(spec, list(s1), list(s2)):
-            buckets, inter, lbs, ubs = _bounds(s1[a], s2[b], spec.scorer.p)
-            cnt = int(sum(len(x) for x in inter))
-            if cnt == 0:
-                continue  # no matching grouping values: no score (Def. 7)
-            phi.pairs.append(
-                _PairState(gi, a, b, buckets, inter, cnt, lbs.copy(), ubs.copy())
-            )
-
-    phi.stats.n_pairs = len(phi.pairs)
+    # ---- Bound: every candidate pair at once, per (g, m) ------------------
+    phi = _Phi(spec, k, ascending, *_bound_all(spec, sides))
+    phi.stats.total_trends, phi.stats.summary_floats = n_trends, n_floats
 
     # ---- Prune: against the k-th best pessimistic bound -------------------
-    thr = phi.threshold()
-    for pr in phi.pairs:
-        if phi.opt(pr) < thr - _prune_slack(thr):
-            pr.pruned = True
-    phi.stats.pruned_initial = sum(p.pruned for p in phi.pairs)
+    phi.prune_initial()
 
-    # ---- fetch vectors for surviving trends only, one action per block ----
-    surv1: list[set] = [set() for _ in spec.gms]
-    surv2: list[set] = [set() for _ in spec.gms]
-    for pr in phi.pairs:
-        if not pr.pruned:
-            surv1[pr.gm_idx].add(pr.t1)
-            surv2[pr.gm_idx].add(pr.t2)
-
-    def _block_vectors(rel, vary, blk, survivors):
-        gidx = buckets_by_g[blk.g][0]
-        vcs = list(blk.value_cols.values())
-        out = {gm: {} for gm in blk.value_cols}
-        if not survivors:
-            return out
-        if vary:
-            sdf = spark.createDataFrame(
-                pd.DataFrame([{c: _py(v) for c, v in zip(vary, t)} for t in survivors])
-            )
-            rel = rel.join(F.broadcast(sdf), on=list(vary), how="left_semi")
-        pdf = rel.toPandas()
-        pdf["__gi"] = pdf[G_COL].map(gidx)
-        for tid, grp in (
-            pdf.groupby(list(vary), sort=False) if vary else [((), pdf)]
-        ):
-            tid = tid if isinstance(tid, tuple) else (tid,)
-            grp = grp.sort_values("__gi")
-            ks = grp["__gi"].to_numpy(dtype=np.int64)
-            for gm, vc in blk.value_cols.items():
-                out[gm][tid] = (ks, grp[vc].to_numpy(dtype=np.float64))
-        return out
-
-    vecs1: list[dict] = [None] * len(spec.gms)
-    vecs2: list[dict] = [None] * len(spec.gms)
-    gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
+    # ---- fetch vectors for surviving trends only, one action per block side
+    alive = ~phi.pruned
+    vecs: list = [None] * len(spec.gms)
     for blk in blocks:
-        blk_surv2 = set()
-        blk_surv1 = set()
-        for gm in blk.value_cols:
-            gi = gm_index[gm]
-            blk_surv2 |= surv2[gi]
-            blk_surv1 |= surv1[gi]
+        gis = [gm_index[gm] for gm in blk.value_cols]
+        in_blk = alive & np.isin(phi.gm, gis)
+        rows1, rows2 = np.unique(phi.ia[in_blk]), np.unique(phi.ib[in_blk])
+        (tids1, aggs1), (tids2, aggs2) = sides[gis[0]]
+        seg = segs[blk.g]
         if blk.shared:
-            v2 = _block_vectors(blk.rel2, spec.t2.vary_cols, blk, blk_surv2 | blk_surv1)
+            v2 = _fetch_values(blk.rel2, spec.t2.vary_cols, blk, seg, tids2, np.union1d(rows1, rows2))
             v1 = v2
         else:
-            v2 = _block_vectors(blk.rel2, spec.t2.vary_cols, blk, blk_surv2)
-            v1 = _block_vectors(blk.rel1, spec.t1.vary_cols, blk, blk_surv1)
-        for gm in blk.value_cols:
-            gi = gm_index[gm]
-            vecs2[gi] = v2[gm]
-            vecs1[gi] = v1[gm]
-    phi.stats.surviving_trends = sum(len(s) for s in surv1) + sum(len(s) for s in surv2)
+            v2 = _fetch_values(blk.rel2, spec.t2.vary_cols, blk, seg, tids2, rows2)
+            v1 = _fetch_values(blk.rel1, spec.t1.vary_cols, blk, seg, tids1, rows1)
+        for gm, gi in zip(blk.value_cols, gis):
+            vecs[gi] = (v1[gm], aggs1[gm].member, v2[gm], aggs2[gm].member, seg.edges)
+            on = alive & (phi.gm == gi)
+            phi.stats.surviving_trends += len(np.unique(phi.ia[on])) + len(np.unique(phi.ib[on]))
 
-    p_exp = spec.scorer.p
-    alive = [pr for pr in phi.pairs if not pr.pruned]
-
-    def refine_chunk(pr: _PairState) -> None:
-        """Refine one update's worth of segments (Fig. 12 knob)."""
-        v1 = vecs1[pr.gm_idx][pr.t1]
-        v2 = vecs2[pr.gm_idx][pr.t2]
-        budget = tuples_per_update if tuples_per_update else max(
-            1, pr.cnt // max(1, len(pr.buckets))
-        )
-        done = 0
-        while not pr.exact and done < budget:
-            done += _refine_bucket(pr, v1, v2, p_exp)
-            phi.stats.segments_refined += 1
-        phi.stats.tuples_compared += done
-        phi.stats.refine_steps += 1
-
-    results: list[_PairState] = []
-    if not early_termination:
-        # ablation stage: segment pruning only — score all survivors fully
-        for pr in alive:
-            while not pr.exact:
-                refine_chunk(pr)
-        results = sorted(alive, key=phi.opt, reverse=True)[:k]
-    else:
-        # Algorithm 2: PQ over optimistic bounds, incremental refinement
-        import heapq
-
-        heap: list = []
-        seq = 0
-        for pr in alive:
-            pr.heap_key = phi.opt(pr)
-            heapq.heappush(heap, (-pr.heap_key, seq, pr))
-            seq += 1
-        thr = phi.threshold()
-        while heap and len(results) < k:
-            negkey, _, pr = heapq.heappop(heap)
-            if pr.pruned or -negkey != pr.heap_key:
-                continue  # stale entry
-            if pr.exact:
-                results.append(pr)  # max optimistic bound and exact ⇒ next best
-                continue
-            old_pess = phi.pess(pr)
-            refine_chunk(pr)
-            if phi.pess(pr) > max(old_pess, thr):
-                thr = phi.threshold()
-            if phi.opt(pr) < thr - _prune_slack(thr):
-                pr.pruned = True
-                phi.stats.pruned_refining += 1
-                continue
-            pr.heap_key = phi.opt(pr)
-            heapq.heappush(heap, (-pr.heap_key, seq, pr))
-            seq += 1
+    results = phi.topk(vecs, tuples_per_update, early_termination)
 
     # ---- build the output relation ----------------------------------------
     rows = []
-    for pr in results:
-        g, m = spec.gms[pr.gm_idx]
+    for i in results:
+        gi = int(phi.gm[i])
+        g, m = spec.gms[gi]
+        (tids1, _), (tids2, _) = sides[gi]
         row = {}
-        for c, v in zip(spec.t1.vary_cols, pr.t1):
+        for c, v in zip(spec.t1.vary_cols, tids1[phi.ia[i]]):
             row[side_prefix(1) + c] = _py(v)
         for t in spec.t1.fixed:
             row[side_prefix(1) + t.col] = t.value
-        for c, v in zip(spec.t2.vary_cols, pr.t2):
+        for c, v in zip(spec.t2.vary_cols, tids2[phi.ib[i]]):
             row[side_prefix(2) + c] = _py(v)
         for t in spec.t2.fixed:
             row[side_prefix(2) + t.col] = t.value
         row["grouping"] = g
         row["measure"] = m.name
-        row["score"] = score_from_sum(spec.scorer, pr.lb_sum, pr.cnt)
+        row["score"] = float(phi._score(phi.lb[i].sum(), phi.cnt[i]))
         rows.append(row)
 
     schema = _output_schema(df, spec)
