@@ -221,7 +221,8 @@ class _Phi:
     sorted by output identity (l_ trend, r_ trend, grouping, measure).
     """
 
-    def __init__(self, spec: CompareSpec, k: int, ascending: bool, gm, ia, ib, matched, lb, ub):
+    def __init__(self, spec: CompareSpec, k: int, ascending: bool, tuples_per_update: int | None,
+                 gm, ia, ib, matched, lb, ub):
         self.spec, self.k, self.asc = spec, k, ascending
         self.gm, self.ia, self.ib = gm, ia, ib
         self.matched, self.lb, self.ub = matched, lb, ub  # (pairs × segments)
@@ -229,6 +230,11 @@ class _Phi:
         self.left = (matched > 0).sum(axis=1)  # segments still to refine
         self.next = np.zeros(len(gm), dtype=np.int64)  # refinement cursor
         self.pruned = np.zeros(len(gm), dtype=bool)
+        # matched tuples per refinement step: the Fig. 12 knob, else one average segment
+        self.budget = (
+            np.full(len(gm), tuples_per_update) if tuples_per_update
+            else np.maximum(1, self.cnt // np.maximum(1, self.left))
+        )
         lo, hi = self._score(lb.sum(axis=1), self.cnt), self._score(ub.sum(axis=1), self.cnt)
         # optimistic / pessimistic bounds under the requested direction
         self.opt = -lo if ascending else hi
@@ -278,7 +284,7 @@ class _Phi:
     def refine(self, i: int, vecs) -> None:
         """Replace whole segments' bounds of pair ``i`` with exact partial
         scores, in segment order, until one update's worth of matched
-        tuples is compared (Fig. 12 knob)."""
+        tuples is compared."""
         v1, m1, v2, m2, e = vecs[self.gm[i]]
         a, b, row, p = self.ia[i], self.ib[i], self.matched[i], self.spec.scorer.p
         lb, ub = self.lb[i], self.ub[i]
@@ -300,13 +306,8 @@ class _Phi:
         self.opt[i] = -lo_s if self.asc else hi_s
         self.pess[i] = -hi_s if self.asc else lo_s
 
-    def topk(self, vecs, tuples_per_update: int | None, early_termination: bool) -> list[int]:
+    def topk(self, vecs, early_termination: bool) -> list[int]:
         """Rows of the exact top-k pairs, best first (ties by identity)."""
-        # matched tuples per update: the knob, else one average segment
-        self.budget = (
-            np.full(len(self.cnt), tuples_per_update) if tuples_per_update
-            else np.maximum(1, self.cnt // np.maximum(1, self.left))
-        )
         alive = np.flatnonzero(~self.pruned)
         if not early_termination:
             # ablation stage: segment pruning only — score all survivors fully
@@ -431,7 +432,7 @@ def compare_topk_pruned(
             sides[gm_index[gm]] = (s1, s2)
 
     # ---- Bound: every candidate pair at once, per (g, m) ------------------
-    phi = _Phi(spec, k, ascending, *_bound_all(spec, sides))
+    phi = _Phi(spec, k, ascending, tuples_per_update, *_bound_all(spec, sides))
     phi.stats.total_trends, phi.stats.summary_floats = n_trends, n_floats
 
     # ---- Prune: against the k-th best pessimistic bound -------------------
@@ -457,7 +458,7 @@ def compare_topk_pruned(
             on = alive & (phi.gm == gi)
             phi.stats.surviving_trends += len(np.unique(phi.ia[on])) + len(np.unique(phi.ib[on]))
 
-    results = phi.topk(vecs, tuples_per_update, early_termination)
+    results = phi.topk(vecs, early_termination)
 
     # ---- build the output relation ----------------------------------------
     rows = []
