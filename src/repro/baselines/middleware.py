@@ -18,7 +18,8 @@ import time
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.aggregates import G_COL, V_COL, build_side_aggregates, same_grouping_groups
+from repro.core.aggregates import G_COL, V_COL, build_vector_blocks, gm_relations
+from repro.core.pairs import output_rows
 from repro.core.spec import CompareSpec, output_cols
 
 from . import client_core as cc
@@ -44,14 +45,11 @@ def compare_middleware(
 ):
     """COMPARE computed in a middleware client. Returns a pandas frame
     (the result lives client-side), optionally with total bytes moved."""
-    rels = build_side_aggregates(
-        df, spec, same_grouping_groups(spec.gms), share_sides=True, persist_merged=False
-    )
+    rels = gm_relations(build_vector_blocks(df, spec, persist=False), spec)
     total_bytes = 0
-    fetched: dict[int, pd.DataFrame] = {}
     per_gm = []
-    for gi, gm in enumerate(spec.gms):
-        r1, r2 = rels[(1, gm)], rels[(2, gm)]
+    for gm in spec.gms:
+        r1, r2 = rels[gm]
         p2, b2 = _fetch(r2, bandwidth_mbps)
         total_bytes += b2
         if r1 is r2:
@@ -68,5 +66,5 @@ def compare_middleware(
             rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
     else:
         rows = cc.topk_pairs(spec, per_gm, k, ascending)
-    out = cc.rows_to_frame(spec, rows, output_cols(spec))
+    out = pd.DataFrame(output_rows(spec, rows), columns=output_cols(spec))
     return (out, total_bytes) if return_bytes else out

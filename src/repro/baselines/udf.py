@@ -16,8 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.aggregates import G_COL, V_COL, build_side_aggregates, same_grouping_groups
-from repro.core.pruning import _output_schema
+from repro.core.aggregates import G_COL, V_COL, build_vector_blocks, gm_relations
+from repro.core.pairs import output_rows, output_schema
 from repro.core.spec import CompareSpec, output_cols
 
 from . import client_core as cc
@@ -25,9 +25,7 @@ from . import client_core as cc
 
 def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str]]:
     """UNION of all (side, gm) aggregates — the UDF's GROUPING SETS input."""
-    rels = build_side_aggregates(
-        df, spec, same_grouping_groups(spec.gms), share_sides=True, persist_merged=False
-    )
+    rels = gm_relations(build_vector_blocks(df, spec, persist=False), spec)
     all_vary: list[str] = []
     for ts in (spec.t1, spec.t2):
         for c in ts.vary_cols:
@@ -37,7 +35,7 @@ def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str
     parts = []
     for side, ts in ((1, spec.t1), (2, spec.t2)):
         for i, gm in enumerate(spec.gms):
-            rel = rels[(side, gm)]
+            rel = rels[gm][side - 1]
             sel = [F.lit(side).alias("__side"), F.lit(i).alias("__gm")]
             for c in all_vary:
                 if c in ts.vary_cols:
@@ -76,7 +74,7 @@ def _make_udf(spec: CompareSpec, all_vary: list[str], k: int | None, ascending: 
                 rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
         else:
             rows = cc.topk_pairs(spec, per_gm, k, ascending)
-        yield cc.rows_to_frame(spec, rows, cols)
+        yield pd.DataFrame(output_rows(spec, rows), columns=cols)
 
     return fn
 
@@ -90,7 +88,6 @@ def compare_udf(
 ) -> DataFrame:
     """COMPARE via the sequential UDF baseline (all pairs, or top-k)."""
     union, all_vary = _tagged_union(df, spec)
-    schema = _output_schema(df, spec)
     return union.repartition(1).mapInPandas(
-        _make_udf(spec, all_vary, k, ascending), schema
+        _make_udf(spec, all_vary, k, ascending), output_schema(df, spec)
     )

@@ -1,22 +1,30 @@
 """Group-by aggregation layer for COMPARE (paper §4.1 step 1 and §4.2 merging).
 
-Each trendset side needs, per (grouping, measure), an aggregated
-relation with schema ``(vary constraint cols…, __g, __v)`` — one row
-per (trend, grouping value). This module builds those relations three
-ways:
+Every strategy and baseline reads its aggregates from one path,
+:func:`build_vector_blocks`. Per :class:`MergeGroup` and grouping column
+it builds a :class:`VectorBlock`: one relation per trendset side with
+schema ``(vary constraint cols…, __g, __m0, __m1, …)``, one row per
+(trend, grouping value) and one value column per (g, m) of the block.
 
-* one group-by per (g, m) (the basic plan),
-* *merged*: a single group-by per :class:`MergeGroup` computing partial
-  aggregates over the union of grouping columns, then a cheap re-aggregate
-  per (g, m) (§4.2 "Merging group-by aggregates", steps 1–4 of the
-  merged sub-plan),
-* *shared across sides*: when trendset T1 is a fixed-value slice of T2
-  (e.g. ``airport='SFO' <-> airport``), T1's aggregate is derived by
-  filtering T2's instead of re-scanning the base relation.
+* A group over one grouping column is one group-by computing all of its
+  measures (with :func:`single_groups`, the §4.1 basic plan: one group-by
+  per (g, m)).
+* A group over several grouping columns is *merged*: one group-by
+  computing partial aggregates over the union of grouping columns, then a
+  cheap re-aggregate per grouping column (§4.2 "Merging group-by
+  aggregates", steps 1–4 of the merged sub-plan).
+* *Shared across sides*: when trendset T1 is a fixed-value slice of T2
+  (e.g. ``airport='SFO' <-> airport``), T1's relation is derived by
+  filtering T2's instead of re-scanning the base relation; identical
+  trendsets share one relation object.
 
-Merged relations are persisted (Spark does not share work between the
-re-aggregates otherwise); handles are tracked in :data:`PERSISTED` and
-released via :func:`clear_cache`.
+The per-(g, m) plans (basic/merged joins, the UDF and middleware
+baselines) read each (g, m) as the projection ``(vary…, __g, __v)`` of
+its block (:func:`gm_relations`).
+
+Merged partials and blocks are persisted (Spark does not share work
+between the re-aggregates otherwise); handles are tracked in
+:data:`PERSISTED` and released via :func:`clear_cache`.
 """
 from __future__ import annotations
 
@@ -30,12 +38,12 @@ from .spec import GM, CompareSpec, Measure, TrendsetSpec
 G_COL = "__g"
 V_COL = "__v"
 
-#: DataFrames persisted by merged-aggregate plans; release with clear_cache().
+#: DataFrames persisted by aggregate plans; release with clear_cache().
 PERSISTED: list[DataFrame] = []
 
 
 def clear_cache() -> None:
-    """Unpersist every intermediate cached by merged-aggregate plans."""
+    """Unpersist every intermediate cached by aggregate plans."""
     while PERSISTED:
         PERSISTED.pop().unpersist()
 
@@ -123,53 +131,6 @@ def _direct_expr(m: Measure):
     return fn(m.col).cast("double")
 
 
-def aggregate_trendset(
-    df: DataFrame,
-    ts: TrendsetSpec,
-    groups: list[MergeGroup],
-    *,
-    persist_merged: bool = True,
-) -> dict[GM, DataFrame]:
-    """Aggregated relation per (g, m) for one trendset side.
-
-    Output schema per (g, m): ``(*ts.vary_cols, __g, __v)``.
-    """
-    out: dict[GM, DataFrame] = {}
-    base = filtered(df, ts)
-    vary = list(ts.vary_cols)
-    for grp in groups:
-        if len(grp.groupings) == 1:
-            # No cross-grouping merge: compute every measure in one pass,
-            # no re-aggregation needed.
-            g = grp.groupings[0]
-            rel = base.groupBy(*vary, g).agg(
-                *[_direct_expr(m).alias(f"__v{i}") for i, m in enumerate(grp.measures)]
-            )
-            if persist_merged and len(grp.measures) > 1:
-                rel = rel.persist()
-                PERSISTED.append(rel)
-            for gm in grp.gms:
-                i = grp.measures.index(gm[1])
-                out[gm] = rel.select(
-                    *vary, F.col(g).alias(G_COL), F.col(f"__v{i}").alias(V_COL)
-                )
-        else:
-            # Cross-grouping merge (§4.2 step 1): partial aggregates over the
-            # union of grouping columns, then re-aggregate per (g, m) (step 4).
-            exprs, names = _partial_exprs(grp.measures)
-            partial = base.groupBy(*vary, *grp.groupings).agg(*exprs)
-            if persist_merged:
-                partial = partial.persist()
-                PERSISTED.append(partial)
-            for g, m in grp.gms:
-                out[(g, m)] = (
-                    partial.groupBy(*vary, g)
-                    .agg(_refinal_expr(m, names).alias(V_COL))
-                    .withColumnRenamed(g, G_COL)
-                )
-    return out
-
-
 @dataclass
 class VectorBlock:
     """All measures that share one grouping column, as one relation.
@@ -228,7 +189,7 @@ def build_vector_blocks(
     """Block relations for both sides (T1 reuses T2's when possible)."""
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     side2 = _block_rels_for_side(df, spec.t2, groups)
-    slice_f = _slice_filters(spec) if share_sides else None
+    slice_f = slice_filters(spec) if share_sides else None
     if share_sides and spec.same_trendsets:
         side1 = side2
     elif slice_f is not None:
@@ -266,7 +227,26 @@ def build_vector_blocks(
     return blocks
 
 
-def _slice_filters(spec: CompareSpec) -> dict[str, object] | None:
+def gm_relations(
+    blocks: list[VectorBlock], spec: CompareSpec
+) -> dict[GM, tuple[DataFrame, DataFrame]]:
+    """Both sides of every (g, m) as ``(vary…, __g, __v)`` projections of its block.
+
+    A shared block yields one projection object for both sides, so a
+    consumer can tell (``rel1 is rel2``) that it needs to compute it once.
+    """
+    out = {}
+    for blk in blocks:
+        for gm, vc in blk.value_cols.items():
+            rel2 = blk.rel2.select(*spec.t2.vary_cols, G_COL, F.col(vc).alias(V_COL))
+            rel1 = rel2 if blk.shared else blk.rel1.select(
+                *spec.t1.vary_cols, G_COL, F.col(vc).alias(V_COL)
+            )
+            out[gm] = (rel1, rel2)
+    return out
+
+
+def slice_filters(spec: CompareSpec) -> dict[str, object] | None:
     """If T1 is a fixed-value slice of T2's trends, the filters deriving it.
 
     Requires identical constraint column sets where every T1-fixed /
@@ -287,40 +267,3 @@ def _slice_filters(spec: CompareSpec) -> dict[str, object] | None:
         else:
             return None
     return filters
-
-
-def build_side_aggregates(
-    df: DataFrame,
-    spec: CompareSpec,
-    groups: list[MergeGroup] | None = None,
-    *,
-    share_sides: bool = True,
-    persist_merged: bool = True,
-) -> dict[tuple[int, GM], DataFrame]:
-    """Aggregated relations for both sides, keyed by (side, (g, m)).
-
-    ``share_sides`` reuses T2's aggregates for T1 when T1 is a slice of
-    T2 (and trivially when the trendsets are identical).
-    """
-    groups = groups if groups is not None else single_groups(spec.gms)
-    out: dict[tuple[int, GM], DataFrame] = {}
-    side2 = aggregate_trendset(df, spec.t2, groups, persist_merged=persist_merged)
-    for gm, rel in side2.items():
-        out[(2, gm)] = rel
-    slice_filters = _slice_filters(spec) if share_sides else None
-    if share_sides and spec.same_trendsets:
-        for gm, rel in side2.items():
-            out[(1, gm)] = rel
-    elif slice_filters is not None:
-        for gm, rel in side2.items():
-            derived = rel
-            for c, v in slice_filters.items():
-                derived = derived.filter(F.col(c) == F.lit(v))
-            # T1 does not vary over the sliced columns: drop them.
-            derived = derived.drop(*[c for c in slice_filters if c not in spec.t1.vary_cols])
-            out[(1, gm)] = derived
-    else:
-        side1 = aggregate_trendset(df, spec.t1, groups, persist_merged=persist_merged)
-        for gm, rel in side1.items():
-            out[(1, gm)] = rel
-    return out

@@ -18,14 +18,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from . import scorer as sc
-from .aggregates import (
-    G_COL,
-    V_COL,
-    MergeGroup,
-    build_side_aggregates,
-    same_grouping_groups,
-    single_groups,
-)
+from .aggregates import G_COL, V_COL, MergeGroup, build_vector_blocks, gm_relations, single_groups
 from .pairs import finish_output, pair_condition, pair_key_cols, rename_side
 from .spec import CompareSpec, output_cols
 
@@ -54,23 +47,22 @@ def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFr
 def compare_with_groups(
     df: DataFrame,
     spec: CompareSpec,
-    groups: list[MergeGroup],
+    groups: list[MergeGroup] | None,
     *,
     share_sides: bool,
-    persist_merged: bool,
+    persist: bool,
 ) -> DataFrame:
     """Trendset-level join plan over a given aggregate grouping."""
-    rels = build_side_aggregates(
-        df, spec, groups, share_sides=share_sides, persist_merged=persist_merged
-    )
-    parts = [_score_gm(spec, gm, rels[(1, gm)], rels[(2, gm)]) for gm in spec.gms]
+    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides, persist=persist)
+    rels = gm_relations(blocks, spec)
+    parts = [_score_gm(spec, gm, *rels[gm]) for gm in spec.gms]
     return reduce(DataFrame.unionByName, parts)
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """§4.1 basic plan: no aggregate sharing, trendset-level joins."""
     return compare_with_groups(
-        df, spec, single_groups(spec.gms), share_sides=False, persist_merged=False
+        df, spec, single_groups(spec.gms), share_sides=False, persist=False
     )
 
 
@@ -78,7 +70,4 @@ def compare_merged(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> DataFrame:
     """Basic join topology over merged/shared group-by aggregates."""
-    groups = groups if groups is not None else same_grouping_groups(spec.gms)
-    return compare_with_groups(
-        df, spec, groups, share_sides=True, persist_merged=True
-    )
+    return compare_with_groups(df, spec, groups, share_sides=True, persist=True)

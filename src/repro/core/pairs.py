@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
-from .spec import CompareSpec, GM, TrendsetSpec, side_prefix
+from .spec import CompareSpec, GM, TrendsetSpec, output_cols, side_prefix
 
 
 def rename_side(rel: DataFrame, ts: TrendsetSpec, side: int, extra: dict[str, str]) -> DataFrame:
@@ -106,3 +107,42 @@ def finish_output(scored: DataFrame, spec: CompareSpec, gm: GM) -> DataFrame:
         for t in ts.fixed:
             scored = scored.withColumn(side_prefix(side) + t.col, F.lit(t.value))
     return scored.withColumn("grouping", F.lit(g)).withColumn("measure", F.lit(m.name))
+
+
+def py_scalar(v):
+    """numpy scalar → python scalar (for createDataFrame rows)."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def output_rows(spec: CompareSpec, rows) -> list[tuple]:
+    """``(tid1, tid2, gm_idx, score)`` rows → tuples in :func:`output_cols` order.
+
+    ``tid1``/``tid2`` are vary-column value tuples; fixed constraint
+    terms are filled in from the spec.
+    """
+    cols = output_cols(spec)
+    out = []
+    for a, b, gi, score in rows:
+        g, m = spec.gms[gi]
+        rec = {"grouping": g, "measure": m.name, "score": float(score)}
+        for side, ts, tid in ((1, spec.t1, a), (2, spec.t2, b)):
+            pre = side_prefix(side)
+            rec.update({pre + c: py_scalar(v) for c, v in zip(ts.vary_cols, tid)})
+            rec.update({pre + t.col: t.value for t in ts.fixed})
+        out.append(tuple(rec[c] for c in cols))
+    return out
+
+
+def output_schema(df: DataFrame, spec: CompareSpec) -> T.StructType:
+    """The canonical COMPARE output schema, typed from the base relation."""
+    by_name = {f.name: f.dataType for f in df.schema.fields}
+    fields = []
+    for side, ts in ((1, spec.t1), (2, spec.t2)):
+        for t in ts.terms:
+            fields.append(T.StructField(side_prefix(side) + t.col, by_name[t.col]))
+    fields += [
+        T.StructField("grouping", T.StringType()),
+        T.StructField("measure", T.StringType()),
+        T.StructField("score", T.DoubleType()),
+    ]
+    return T.StructType(fields)

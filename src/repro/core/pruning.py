@@ -48,11 +48,11 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks, same_grouping_groups
-from .pairs import candidate_pairs
-from .spec import CompareSpec, output_cols, side_prefix
+from .pairs import candidate_pairs, output_rows, output_schema, py_scalar
+from .scorer import diff_np, score_from_sum
+from .spec import CompareSpec
 
 
 def sturges(n: int) -> int:
@@ -60,7 +60,7 @@ def sturges(n: int) -> int:
     return max(1, int(1 + math.log2(n))) if n > 0 else 1
 
 
-def _prune_slack(thr: float) -> float:
+def prune_slack(thr: float) -> float:
     """Relative epsilon for prune comparisons.
 
     For p=1 the Theorem-1 lower bound is *exactly* tight when all tuple
@@ -112,11 +112,6 @@ class SegAgg:
     max: np.ndarray  # (trends, segments) float64, -inf where empty
     member: np.ndarray  # (trends, domain) bool: the key bitmap
     edges: np.ndarray  # Segmentation.edges
-
-
-def _py(v):
-    """numpy scalar → python scalar (for createDataFrame rows)."""
-    return v.item() if isinstance(v, np.generic) else v
 
 
 def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str, Segmentation]:
@@ -208,9 +203,9 @@ def bound_pairs(s1: SegAgg, s2: SegAgg, ia: np.ndarray, ib: np.ndarray, p: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         avg1, avg2 = s1.sum / s1.cnt, s2.sum / s2.cnt
         full = (matched > 0) & (matched == s1.cnt[ia]) & (matched == s2.cnt[ib])
-        lb = np.where(full, matched * np.abs(avg1[ia] - avg2[ib]) ** p, 0.0)
-        gap = np.maximum(np.abs(s1.max[ia] - s2.min[ib]), np.abs(s2.max[ib] - s1.min[ia]))
-        ub = np.where(matched > 0, matched * gap**p, 0.0)
+        lb = np.where(full, matched * diff_np(avg1[ia], avg2[ib], p), 0.0)
+        gap = np.maximum(diff_np(s1.max[ia], s2.min[ib], p), diff_np(s2.max[ib], s1.min[ia], p))
+        ub = np.where(matched > 0, matched * gap, 0.0)
     return matched, lb, ub
 
 
@@ -235,16 +230,13 @@ class _Phi:
             np.full(len(gm), tuples_per_update) if tuples_per_update
             else np.maximum(1, self.cnt // np.maximum(1, self.left))
         )
-        lo, hi = self._score(lb.sum(axis=1), self.cnt), self._score(ub.sum(axis=1), self.cnt)
+        lo = score_from_sum(spec.scorer, lb.sum(axis=1), self.cnt)
+        hi = score_from_sum(spec.scorer, ub.sum(axis=1), self.cnt)
         # optimistic / pessimistic bounds under the requested direction
         self.opt = -lo if ascending else hi
         self.pess = -hi if ascending else lo
         self.stats = PruneStats(n_pairs=len(gm))
         self._rebuild_pq_s()
-
-    def _score(self, total, cnt):
-        """SUM-of-DIFF bound(s) → the scorer's scale (SUM or AVG)."""
-        return total / cnt if self.spec.scorer.agg == "AVG" else total
 
     # ---- PQ_S: the k rows with the best pessimistic bounds; T is their min
     def _rebuild_pq_s(self) -> None:
@@ -277,7 +269,7 @@ class _Phi:
         self.thr = float(self.pess[self.top].min())
 
     def prune_initial(self) -> None:
-        slack = _prune_slack(self.thr)
+        slack = prune_slack(self.thr)
         self.pruned = self.opt < self.thr - slack
         self.stats.pruned_initial = int(self.pruned.sum())
 
@@ -293,8 +285,8 @@ class _Phi:
             while not row[s]:
                 s += 1
             lo, hi = e[s], e[s + 1]
-            d = np.abs(v1[a, lo:hi] - v2[b, lo:hi])[m1[a, lo:hi] & m2[b, lo:hi]]
-            lb[s] = ub[s] = (d * d if p == 2 else d**p).sum()
+            d = diff_np(v1[a, lo:hi], v2[b, lo:hi], p)[m1[a, lo:hi] & m2[b, lo:hi]]
+            lb[s] = ub[s] = d.sum()
             done += row[s]
             s += 1
             left -= 1
@@ -302,7 +294,8 @@ class _Phi:
         self.next[i], self.left[i] = s, left
         self.stats.tuples_compared += int(done)
         self.stats.refine_steps += 1
-        lo_s, hi_s = self._score(lb.sum(), self.cnt[i]), self._score(ub.sum(), self.cnt[i])
+        lo_s = score_from_sum(self.spec.scorer, lb.sum(), self.cnt[i])
+        hi_s = score_from_sum(self.spec.scorer, ub.sum(), self.cnt[i])
         self.opt[i] = -lo_s if self.asc else hi_s
         self.pess[i] = -hi_s if self.asc else lo_s
 
@@ -327,7 +320,7 @@ class _Phi:
             old = self.pess[i]
             self.refine(i, vecs)
             self._update_pq_s(i, old)
-            if self.opt[i] < self.thr - _prune_slack(self.thr):
+            if self.opt[i] < self.thr - prune_slack(self.thr):
                 self.pruned[i] = True
                 self.stats.pruned_refining += 1
                 continue
@@ -375,7 +368,7 @@ def _fetch_values(
         return out
     if vary:
         sdf = rel.sparkSession.createDataFrame(
-            pd.DataFrame([dict(zip(vary, map(_py, tids[r]))) for r in rows])
+            pd.DataFrame([dict(zip(vary, map(py_scalar, tids[r]))) for r in rows])
         )
         rel = rel.join(F.broadcast(sdf), on=list(vary), how="left_semi")
     pdf = rel.toPandas()
@@ -464,36 +457,9 @@ def compare_topk_pruned(
     rows = []
     for i in results:
         gi = int(phi.gm[i])
-        g, m = spec.gms[gi]
         (tids1, _), (tids2, _) = sides[gi]
-        row = {}
-        for c, v in zip(spec.t1.vary_cols, tids1[phi.ia[i]]):
-            row[side_prefix(1) + c] = _py(v)
-        for t in spec.t1.fixed:
-            row[side_prefix(1) + t.col] = t.value
-        for c, v in zip(spec.t2.vary_cols, tids2[phi.ib[i]]):
-            row[side_prefix(2) + c] = _py(v)
-        for t in spec.t2.fixed:
-            row[side_prefix(2) + t.col] = t.value
-        row["grouping"] = g
-        row["measure"] = m.name
-        row["score"] = float(phi._score(phi.lb[i].sum(), phi.cnt[i]))
-        rows.append(row)
-
-    schema = _output_schema(df, spec)
-    out = spark.createDataFrame([tuple(r[c] for c in output_cols(spec)) for r in rows], schema)
+        score = score_from_sum(spec.scorer, phi.lb[i].sum(), phi.cnt[i])
+        rows.append((tids1[phi.ia[i]], tids2[phi.ib[i]], gi, score))
+    out = spark.createDataFrame(output_rows(spec, rows), output_schema(df, spec))
     return (out, phi.stats) if return_stats else out
 
-
-def _output_schema(df: DataFrame, spec: CompareSpec) -> T.StructType:
-    by_name = {f.name: f.dataType for f in df.schema.fields}
-    fields = []
-    for side, ts in ((1, spec.t1), (2, spec.t2)):
-        for t in ts.terms:
-            fields.append(T.StructField(side_prefix(side) + t.col, by_name[t.col]))
-    fields += [
-        T.StructField("grouping", T.StringType()),
-        T.StructField("measure", T.StringType()),
-        T.StructField("score", T.DoubleType()),
-    ]
-    return T.StructType(fields)

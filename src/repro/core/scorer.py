@@ -56,13 +56,14 @@ def score_pair(scorer: Scorer, k1, v1, k2, v2) -> float:
     return score_np(scorer, a1, a2)
 
 
-def score_from_sum(scorer: Scorer, total: float, count: int) -> float:
-    """Convert a SUM-of-DIFF and matched count to the scorer's scale.
+def score_from_sum(scorer: Scorer, total, count):
+    """Convert SUM-of-DIFF value(s) and matched count(s) (> 0) to the scorer's scale.
 
-    Used by the pruning operator, whose bounds are derived on SUM.
+    Used by the bound kernels (Φp and the client baselines), whose bounds
+    are derived on SUM; works on scalars and numpy arrays alike.
     """
     if scorer.agg == "SUM":
         return total
     if scorer.agg == "AVG":
-        return total / count if count else float("nan")
+        return total / count
     raise ValueError(f"pruning bounds only support SUM/AVG, got {scorer.agg}")

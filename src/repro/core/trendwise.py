@@ -32,6 +32,7 @@ from .aggregates import (
     build_vector_blocks,
 )
 from .pairs import pair_condition, pair_key_cols, rename_side
+from .scorer import score_np
 from .spec import CompareSpec, Scorer, output_cols, side_prefix
 
 KEYS1, KEYS2 = "__k1", "__k2"
@@ -70,18 +71,17 @@ def _make_block_scorer(scorer: Scorer, block_gms, value_names, out_fields: list[
             v2s = [pdf["__r" + vc].to_numpy() for vc in value_names]
             scores = np.full((n, len(value_names)), np.nan)
             for i in range(n):
-                k1 = np.asarray(k1s[i])
-                k2 = np.asarray(k2s[i])
-                _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+                _, i1, i2 = np.intersect1d(
+                    np.asarray(k1s[i]), np.asarray(k2s[i]), assume_unique=True, return_indices=True
+                )
                 if i1.size == 0:
                     continue
                 for j in range(len(value_names)):
-                    a = np.asarray(v1s[j][i], dtype=np.float64)[i1]
-                    b = np.asarray(v2s[j][i], dtype=np.float64)[i2]
-                    d = np.abs(a - b)
-                    d = d * d if scorer.p == 2 else d**scorer.p
-                    agg = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}[scorer.agg]
-                    scores[i, j] = float(agg(d))
+                    scores[i, j] = score_np(
+                        scorer,
+                        np.asarray(v1s[j][i], dtype=np.float64)[i1],
+                        np.asarray(v2s[j][i], dtype=np.float64)[i2],
+                    )
             key_cols = [c for c in out_fields if c not in ("grouping", "measure", "score")]
             outs = []
             for j, (g, mname) in enumerate(gm_labels):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.aggregates import MergeGroup
+from repro.core.aggregates import MergeGroup, slice_filters
 from repro.core.spec import CompareSpec, TrendsetSpec
 
 # Relative operator weights: reading a row, writing/shuffling an
@@ -86,9 +86,7 @@ def compare_plan_cost(spec: CompareSpec, groups: list[MergeGroup], stats: TableS
     The trendwise join/scoring cost is identical across merge choices,
     so Algorithm 1 only needs the aggregate + partition terms.
     """
-    from repro.core.aggregates import _slice_filters  # shared-side detection
-
     cost = side_plan_cost(spec.t2, groups, stats)
-    if not (spec.same_trendsets or _slice_filters(spec) is not None):
+    if not (spec.same_trendsets or slice_filters(spec) is not None):
         cost += side_plan_cost(spec.t1, groups, stats)
     return cost

@@ -6,12 +6,12 @@ from repro.core.aggregates import (
     G_COL,
     V_COL,
     MergeGroup,
-    _slice_filters,
-    aggregate_trendset,
-    build_side_aggregates,
+    build_vector_blocks,
     clear_cache,
+    gm_relations,
     same_grouping_groups,
     single_groups,
+    slice_filters,
 )
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
 
@@ -21,6 +21,14 @@ def ts(*terms):
 
 
 GM = lambda g, m, a="AVG": (g, Measure(a, m))
+
+
+def aggregate(df, trendset, groups, gm):
+    """The ``(vary…, __g, __v)`` relation of ``gm`` for one trendset: side 1
+    of the trendset compared against itself, sides not shared."""
+    spec = CompareSpec(trendset, trendset, tuple(x for grp in groups for x in grp.gms))
+    blocks = build_vector_blocks(df, spec, groups, share_sides=False, persist=False)
+    return gm_relations(blocks, spec)[gm][0]
 
 
 @pytest.fixture(autouse=True)
@@ -50,17 +58,17 @@ class TestMergeGroups:
 class TestSliceDetection:
     def test_q1_shape_is_slice(self):
         spec = CompareSpec(ts(("airport", "A0")), ts(("airport",)), (GM("day", "x"),))
-        assert _slice_filters(spec) == {"airport": "A0"}
+        assert slice_filters(spec) == {"airport": "A0"}
 
     def test_identical_trendsets_trivial_slice(self):
         spec = CompareSpec(ts(("airport",)), ts(("airport",)), (GM("day", "x"),))
-        assert _slice_filters(spec) == {}
+        assert slice_filters(spec) == {}
 
     def test_different_columns_not_slice(self):
         spec = CompareSpec(
             ts(("region", "Asia")), ts(("region", "Asia"), ("product",)), (GM("week", "x"),)
         )
-        assert _slice_filters(spec) is None
+        assert slice_filters(spec) is None
 
     def test_conflicting_fixed_not_slice(self):
         spec = CompareSpec(
@@ -68,15 +76,13 @@ class TestSliceDetection:
             ts(("region", "Europe"), ("city",)),
             (GM("week", "x"),),
         )
-        assert _slice_filters(spec) is None
+        assert slice_filters(spec) is None
 
 
 class TestAggregation:
     def test_direct_aggregate_matches_groupby(self, flight_df):
-        rels = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("day", "arr_delay"),))
-        )
-        rel = rels[GM("day", "arr_delay")]
+        gm = GM("day", "arr_delay")
+        rel = aggregate(flight_df, ts(("airport",)), single_groups((gm,)), gm)
         exp = (
             flight_df.groupBy("airport", "day")
             .agg(F.avg("arr_delay").alias(V_COL))
@@ -89,39 +95,27 @@ class TestAggregation:
     def test_cross_grouping_reaggregation_avg_exact(self, flight_df):
         """AVG re-derived from (sum, count) partials must be exact, not an
         average of averages."""
-        merged = aggregate_trendset(
-            flight_df,
-            ts(("airport",)),
-            [MergeGroup((GM("day", "arr_delay"), GM("week", "arr_delay")))],
-        )
-        direct = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("week", "arr_delay"),))
-        )
+        day, week = GM("day", "arr_delay"), GM("week", "arr_delay")
+        merged = aggregate(flight_df, ts(("airport",)), [MergeGroup((day, week))], week)
+        direct = aggregate(flight_df, ts(("airport",)), single_groups((week,)), week)
         key = ["airport", G_COL]
-        a = merged[GM("week", "arr_delay")].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[GM("week", "arr_delay")].toPandas().sort_values(key).reset_index(drop=True)
+        a = merged.toPandas().sort_values(key).reset_index(drop=True)
+        b = direct.toPandas().sort_values(key).reset_index(drop=True)
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()
 
     @pytest.mark.parametrize("agg", ["SUM", "MIN", "MAX", "COUNT"])
     def test_cross_grouping_reaggregation_other_aggs(self, flight_df, agg):
-        merged = aggregate_trendset(
-            flight_df,
-            ts(("airport",)),
-            [MergeGroup((GM("day", "arr_delay", agg), GM("week", "arr_delay", agg)))],
-        )
-        direct = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("week", "arr_delay", agg),))
-        )
+        day, week = GM("day", "arr_delay", agg), GM("week", "arr_delay", agg)
+        merged = aggregate(flight_df, ts(("airport",)), [MergeGroup((day, week))], week)
+        direct = aggregate(flight_df, ts(("airport",)), single_groups((week,)), week)
         key = ["airport", G_COL]
-        a = merged[GM("week", "arr_delay", agg)].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[GM("week", "arr_delay", agg)].toPandas().sort_values(key).reset_index(drop=True)
+        a = merged.toPandas().sort_values(key).reset_index(drop=True)
+        b = direct.toPandas().sort_values(key).reset_index(drop=True)
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()
 
     def test_fixed_constraint_filters_rows(self, flight_df):
-        rels = aggregate_trendset(
-            flight_df, ts(("airport", "A0")), single_groups((GM("day", "arr_delay"),))
-        )
-        rel = rels[GM("day", "arr_delay")]
+        gm = GM("day", "arr_delay")
+        rel = aggregate(flight_df, ts(("airport", "A0")), single_groups((gm,)), gm)
         assert rel.columns == [G_COL, V_COL]
         n_days_a0 = flight_df.filter("airport = 'A0'").select("day").distinct().count()
         assert rel.count() == n_days_a0
@@ -130,16 +124,18 @@ class TestAggregation:
 class TestSideSharing:
     def test_identical_trendsets_share_object(self, flight_df):
         spec = CompareSpec(ts(("airport",)), ts(("airport",)), (GM("day", "arr_delay"),))
-        rels = build_side_aggregates(flight_df, spec)
-        assert rels[(1, spec.gms[0])] is rels[(2, spec.gms[0])]
+        blocks = build_vector_blocks(flight_df, spec)
+        assert blocks[0].shared and blocks[0].rel1 is blocks[0].rel2
+        rel1, rel2 = gm_relations(blocks, spec)[spec.gms[0]]
+        assert rel1 is rel2
 
     def test_slice_derivation_matches_direct(self, flight_df):
         spec = CompareSpec(ts(("airport", "A0")), ts(("airport",)), (GM("day", "arr_delay"),))
-        shared = build_side_aggregates(flight_df, spec, share_sides=True)
-        direct = build_side_aggregates(flight_df, spec, share_sides=False)
         gm = spec.gms[0]
+        shared = gm_relations(build_vector_blocks(flight_df, spec, share_sides=True), spec)
+        direct = gm_relations(build_vector_blocks(flight_df, spec, share_sides=False), spec)
         key = [G_COL]
-        a = shared[(1, gm)].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[(1, gm)].toPandas().sort_values(key).reset_index(drop=True)
+        a = shared[gm][0].toPandas().sort_values(key).reset_index(drop=True)
+        b = direct[gm][0].toPandas().sort_values(key).reset_index(drop=True)
         assert a.columns.tolist() == b.columns.tolist() == [G_COL, V_COL]
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()

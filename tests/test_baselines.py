@@ -51,7 +51,7 @@ def test_middleware_matches_compare(request, name):
     assert a["score"].round(5).tolist() == pytest.approx(b["score"].round(5).tolist())
 
 
-@pytest.mark.parametrize("name", ["q2", "q4"])
+@pytest.mark.parametrize("name", ["q2", "q4", "max_scorer", "min_scorer"])
 @pytest.mark.parametrize("ascending", [True, False])
 def test_udf_topk_matches_exact(request, name, ascending):
     dataset, spec = CATALOG[name]
@@ -61,7 +61,7 @@ def test_udf_topk_matches_exact(request, name, ascending):
     assert sorted(got["score"].round(6)) == pytest.approx(sorted(exp["score"].round(6)))
 
 
-@pytest.mark.parametrize("name", ["q2", "q4"])
+@pytest.mark.parametrize("name", ["q2", "q4", "max_scorer", "min_scorer"])
 def test_middleware_topk_matches_exact(request, name):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
@@ -83,6 +83,25 @@ def test_middleware_reports_bytes(request, flight_df):
         flight_df, spec, bandwidth_mbps=None, return_bytes=True
     )
     assert nbytes > 0
+
+
+@pytest.mark.parametrize("name, fetches_per_gm", [("q2", 1), ("q1", 2)])
+def test_middleware_fetches_shared_aggregate_once(request, monkeypatch, name, fetches_per_gm):
+    """Identical trendsets share one aggregate per (g, m), fetched once; a
+    slice-derived T1 is a second query."""
+    import repro.baselines.middleware as mw
+
+    dataset, spec = CATALOG[name]
+    df = request.getfixturevalue(fixture_for(dataset))
+    fetch, calls = mw._fetch, []
+
+    def counting_fetch(rel, bandwidth_mbps):
+        calls.append(rel)
+        return fetch(rel, bandwidth_mbps)
+
+    monkeypatch.setattr(mw, "_fetch", counting_fetch)
+    compare_middleware(df, spec, bandwidth_mbps=None)
+    assert len(calls) == fetches_per_gm * len(spec.gms)
 
 
 def test_middleware_bandwidth_slows_transfer(request, flight_df):

@@ -1,6 +1,6 @@
 """Randomized regression harness for Φp: ragged trends (missing cells)
 with tight p=1 bounds — the configuration that exposed the
-threshold-vs-own-bound float-rounding prune bug (see _prune_slack)."""
+threshold-vs-own-bound float-rounding prune bug (see prune_slack)."""
 import numpy as np
 import pandas as pd
 import pytest

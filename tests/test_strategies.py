@@ -39,7 +39,7 @@ def test_cross_grouping_merge_matches_oracle(request, name):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     groups = [MergeGroup(spec.gms)]
-    out = compare_with_groups(df, spec, groups, share_sides=True, persist_merged=True)
+    out = compare_with_groups(df, spec, groups, share_sides=True, persist=True)
     check_against_oracle(out, spec, df)
 
 
