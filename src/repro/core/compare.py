@@ -31,8 +31,9 @@ def _optimizer_groups(df: DataFrame, spec: CompareSpec, fds: dict[str, str] | No
     from repro.plan.cost import TableStats
     from repro.plan.optimizer import merge_partition
 
-    stats = TableStats.from_df(df, list(spec.input_cols), fds)
-    return merge_partition(spec, stats)
+    # the cost model reads distinct counts of constraint and grouping columns only
+    cols = dict.fromkeys([*spec.t1.cols, *spec.t2.cols, *(g for g, _ in spec.gms)])
+    return merge_partition(spec, TableStats.from_df(df, list(cols), fds))
 
 
 def compare(

@@ -8,9 +8,11 @@ merged, trendwise and pruned plans all emit identical output relations.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
+import pyarrow as pa
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from .spec import CompareSpec, GM, TrendsetSpec, output_cols, side_prefix
 
@@ -110,7 +112,7 @@ def finish_output(scored: DataFrame, spec: CompareSpec, gm: GM) -> DataFrame:
 
 
 def py_scalar(v):
-    """numpy scalar → python scalar (for createDataFrame rows)."""
+    """numpy scalar → python scalar (for driver-built rows)."""
     return v.item() if isinstance(v, np.generic) else v
 
 
@@ -146,3 +148,16 @@ def output_schema(df: DataFrame, spec: CompareSpec) -> T.StructType:
         T.StructField("score", T.DoubleType()),
     ]
     return T.StructType(fields)
+
+
+def local_frame(spark: SparkSession, rows: list[tuple], schema: T.StructType) -> DataFrame:
+    """Driver-side ``rows`` as a local relation (``LocalTableScan``).
+
+    Built from an Arrow table, so neither creating nor collecting it runs
+    a Spark job (a Python list would go through ``parallelize``); an
+    empty ``rows`` keeps ``schema``.
+    """
+    table = pa.Table.from_pylist(
+        [dict(zip(schema.names, r)) for r in rows], schema=to_arrow_schema(schema)
+    )
+    return spark.createDataFrame(table)

@@ -9,8 +9,9 @@ Summarize → Bound → Prune → refine:
    **global grouping-value quantile buckets** (identical to the paper's
    index segments when trend domains coincide, and sound when they do
    not — see DESIGN.md §4). Summaries are computed *in Spark* (one
-   groupBy over trend × segment per block) and decoded into dense
-   (trends × segments) arrays plus a (trends × domain) bitmap
+   groupBy over trend × segment per block side, the segment id a range
+   expression over the segments' lower-edge values) and decoded into
+   dense (trends × segments) arrays plus a (trends × domain) bitmap
    (:class:`SegAgg`): O(p · log(n/p)) floats.
 2. **Bound** — for every candidate pair at once, as (pairs × segments)
    broadcasts (:func:`bound_pairs`): the matched COUNT per segment is
@@ -37,20 +38,28 @@ equal scores break as in :func:`repro.core.compare.topk_exact`.
 This module is the paper's new physical operator; Algorithm 2 runs
 single-threaded on the driver (as in the paper's pseudo-code) over
 Spark-computed summaries — see DESIGN.md §2 for the layering argument.
+The Spark actions of one call are a domain ``collect`` per grouping
+column, then a summary per block side, then a survivor fetch per block
+side; the actions of each phase are independent and run concurrently
+(:func:`_run_concurrently`). The top-k result is a local relation, so
+collecting it runs no Spark job.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.util import inheritable_thread_target
 
 from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks, same_grouping_groups
-from .pairs import candidate_pairs, output_rows, output_schema, py_scalar
+from .pairs import candidate_pairs, local_frame, output_rows, output_schema, py_scalar
 from .scorer import diff_np, score_from_sum
 from .spec import CompareSpec
 
@@ -92,11 +101,25 @@ class Segmentation:
 
     domain: list  # sorted distinct grouping values; a key is an index into it
     edges: np.ndarray  # segment b holds keys edges[b]:edges[b+1]
-    bucket_df: DataFrame | None  # (__g, __gi, __b) for the Spark join; None if empty
 
     @property
     def n_segments(self) -> int:
         return len(self.edges) - 1
+
+    def segment_of(self, g: Column) -> Column:
+        """Segment id of grouping value ``g``: a range expression over the
+        lower-edge values of segments 1…l−1."""
+        lower = [self.domain[i] for i in self.edges[1:-1]]
+        if not lower:
+            return F.lit(0)
+        expr = F.when(g < F.lit(lower[0]), 0)
+        for b, v in enumerate(lower[1:], 1):
+            expr = expr.when(g < F.lit(v), b)
+        return expr.otherwise(len(lower))
+
+    def key_index(self, values) -> np.ndarray:
+        """Each grouping value's index into the domain, −1 if it is not in it."""
+        return pd.Index(self.domain).get_indexer(values)
 
 
 @dataclass
@@ -114,24 +137,66 @@ class SegAgg:
     edges: np.ndarray  # Segmentation.edges
 
 
-def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str, Segmentation]:
-    """Domain and segments of each grouping column: one Spark action each."""
-    out: dict[str, Segmentation] = {}
-    for blk in blocks:
-        if blk.g in out:
-            continue
-        dom = blk.rel2.select(G_COL)
+def _run_concurrently(spark: SparkSession, actions: list) -> list:
+    """Results of independent Spark actions (zero-argument callables), in
+    ``actions`` order; two or more run on one thread each.
+
+    Each thread inherits the caller's local properties (its job group,
+    scheduler pool), so its jobs are attributed as the caller's own.
+    """
+    if len(actions) < 2:
+        return [a() for a in actions]
+    with ThreadPoolExecutor(len(actions)) as pool:
+        futures = [pool.submit(inheritable_thread_target(spark)(a)) for a in actions]
+        return [f.result() for f in futures]
+
+
+def _per_block_side(spark: SparkSession, spec: CompareSpec, blocks: list[VectorBlock], action):
+    """``(result1, result2)`` per block of ``action(b, rel, vary, side)``
+    over block ``b``'s side relations (side 0 is T1's, 1 is T2's).
+
+    Every block side's action runs concurrently; a shared block runs
+    T2's only and uses it for both sides.
+    """
+    calls = []
+    for b, blk in enumerate(blocks):
+        calls.append(partial(action, b, blk.rel2, spec.t2.vary_cols, 1))
         if not blk.shared:
-            dom = dom.union(blk.rel1.select(G_COL))
-        gvals = sorted(r[0] for r in dom.distinct().collect())
+            calls.append(partial(action, b, blk.rel1, spec.t1.vary_cols, 0))
+    results = iter(_run_concurrently(spark, calls))
+    out = []
+    for blk in blocks:
+        r2 = next(results)
+        out.append((r2 if blk.shared else next(results), r2))
+    return out
+
+
+def _domain(blk: VectorBlock) -> list:
+    """Sorted distinct grouping values of both sides of a block (one action)."""
+    dom = blk.rel2.select(G_COL)
+    if not blk.shared:
+        dom = dom.union(blk.rel1.select(G_COL))
+    return sorted(r[0] for r in dom.distinct().collect())
+
+
+def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str, Segmentation]:
+    """Domain and segments of each grouping column.
+
+    One domain ``collect`` per grouping column; the columns' actions run
+    concurrently.
+    """
+    first = {}
+    for blk in blocks:
+        first.setdefault(blk.g, blk)
+    spark = blocks[0].rel2.sparkSession if blocks else None
+    domains = _run_concurrently(spark, [partial(_domain, blk) for blk in first.values()])
+    out: dict[str, Segmentation] = {}
+    for g, gvals in zip(first, domains):
         nd = len(gvals)
         l = n_segments if n_segments is not None else sturges(nd)
         l = max(1, min(l, nd)) if nd else 1
         seg_of = (np.arange(nd, dtype=np.int64) * l) // max(nd, 1)
-        bucket_df = blk.rel2.sparkSession.createDataFrame(
-            pd.DataFrame({G_COL: gvals, "__gi": np.arange(nd, dtype=np.int64), "__b": seg_of})
-        ) if nd else None
-        out[blk.g] = Segmentation(gvals, np.searchsorted(seg_of, np.arange(l + 1)), bucket_df)
+        out[g] = Segmentation(gvals, np.searchsorted(seg_of, np.arange(l + 1)))
     return out
 
 
@@ -153,17 +218,19 @@ def summarize(
     """Summarize one side of a block: its trend ids and a SegAgg per (g, m).
 
     Segment aggregates of every measure of the block come from ONE
-    groupBy over trend × segment, fetched through Arrow.
+    groupBy over trend × segment, fetched through Arrow; each group's
+    grouping values are indexed into the domain on the driver. Rows whose
+    grouping value is NULL match no key, as in an equi-join.
     """
     l, nd = seg.n_segments, len(seg.domain)
-    aggs = {"__cnt": F.count(F.lit(1)), "__keys": F.sort_array(F.collect_list("__gi"))}
+    aggs = {"__cnt": F.count(F.lit(1)), "__keys": F.collect_list(G_COL)}
     for vc in blk.value_cols.values():
         aggs.update({"s" + vc: F.sum(vc), "n" + vc: F.min(vc), "x" + vc: F.max(vc)})
     pdf = pd.DataFrame(columns=[*vary, "__b", *aggs])  # empty domain: no rows
-    if seg.bucket_df is not None:
+    if nd:
         pdf = (
-            rel.join(F.broadcast(seg.bucket_df), on=G_COL, how="inner")
-            .groupBy(*vary, "__b")
+            rel.where(F.col(G_COL).isNotNull())
+            .groupBy(*vary, seg.segment_of(F.col(G_COL)).alias("__b"))
             .agg(*(c.alias(name) for name, c in aggs.items()))
             .toPandas()
         )
@@ -174,7 +241,9 @@ def summarize(
     member = np.zeros((len(tids), nd), dtype=bool)
     if len(pdf):
         keys = pdf["__keys"]
-        member[np.repeat(ti, keys.map(len)), np.concatenate(keys.tolist()).astype(np.int64)] = True
+        gi = seg.key_index(np.concatenate(keys.tolist()))
+        hit = gi >= 0  # a value outside the domain sets no bit
+        member[np.repeat(ti, keys.map(len))[hit], gi[hit]] = True
     out = {}
     for gm, vc in blk.value_cols.items():
         arrs = []
@@ -357,25 +426,34 @@ def _bound_all(spec: CompareSpec, sides: list):
     return gm[order], ia[order], ib[order], matched[order], lb[order], ub[order]
 
 
+def _trend_filter(vary: tuple[str, ...], tids: list[tuple]) -> Column:
+    """``vary`` is one of ``tids``: an IN over the column, or over a struct
+    of the columns when there are several."""
+    if len(vary) == 1:
+        return F.col(vary[0]).isin([py_scalar(t[0]) for t in tids])
+    return F.struct(*vary).isin(
+        [F.struct(*(F.lit(py_scalar(v)).alias(c) for c, v in zip(vary, t))) for t in tids]
+    )
+
+
 def _fetch_values(
     rel: DataFrame, vary: tuple[str, ...], blk: VectorBlock, seg: Segmentation,
     tids: list[tuple], rows,
 ) -> dict:
     """Dense (trends × domain) value arrays per (g, m) of a block side,
-    filled for the trend rows ``rows`` only (one Spark action)."""
+    filled for the trend rows ``rows`` only (one Spark action, unfiltered
+    when every trend is in ``rows``)."""
     out = {gm: np.full((len(tids), len(seg.domain)), np.nan) for gm in blk.value_cols}
     if not len(rows):
         return out
-    if vary:
-        sdf = rel.sparkSession.createDataFrame(
-            pd.DataFrame([dict(zip(vary, map(py_scalar, tids[r]))) for r in rows])
-        )
-        rel = rel.join(F.broadcast(sdf), on=list(vary), how="left_semi")
+    if len(rows) < len(tids):
+        rel = rel.where(_trend_filter(vary, [tids[r] for r in rows]))
     pdf = rel.toPandas()
     _, ti = _trend_rows(pdf, vary, tids)
-    gi = pd.Index(seg.domain).get_indexer(pdf[G_COL])
+    gi = seg.key_index(pdf[G_COL])
+    hit = (ti >= 0) & (gi >= 0)  # a row outside the summarized trends or the domain fills nothing
     for gm, vc in blk.value_cols.items():
-        out[gm][ti, gi] = pdf[vc].to_numpy(dtype=np.float64)
+        out[gm][ti[hit], gi[hit]] = pdf[vc].to_numpy(dtype=np.float64)[hit]
     return out
 
 
@@ -412,12 +490,14 @@ def compare_topk_pruned(
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
 
     # ---- Summarize: one groupBy per block side ----------------------------
+    summaries = _per_block_side(
+        spark, spec, blocks,
+        lambda b, rel, vary, _: summarize(rel, vary, blocks[b], segs[blocks[b].g]),
+    )
     sides: list = [None] * len(spec.gms)  # gi -> ((tids1, aggs1), (tids2, aggs2))
     n_trends = n_floats = 0
-    for blk in blocks:
+    for blk, (s1, s2) in zip(blocks, summaries):
         seg = segs[blk.g]
-        s2 = summarize(blk.rel2, spec.t2.vary_cols, blk, seg)
-        s1 = s2 if blk.shared else summarize(blk.rel1, spec.t1.vary_cols, blk, seg)
         n = len(s2[0]) + (0 if blk.shared else len(s1[0]))
         n_trends += n * len(blk.value_cols)
         n_floats += 4 * seg.n_segments * n * len(blk.value_cols)
@@ -431,22 +511,24 @@ def compare_topk_pruned(
     # ---- Prune: against the k-th best pessimistic bound -------------------
     phi.prune_initial()
 
-    # ---- fetch vectors for surviving trends only, one action per block side
+    # ---- fetch vectors of surviving trends only, one action per block side
     alive = ~phi.pruned
-    vecs: list = [None] * len(spec.gms)
+    survivors = []  # per block: trend rows to fetch of (T1, T2)
     for blk in blocks:
-        gis = [gm_index[gm] for gm in blk.value_cols]
-        in_blk = alive & np.isin(phi.gm, gis)
+        in_blk = alive & np.isin(phi.gm, [gm_index[gm] for gm in blk.value_cols])
         rows1, rows2 = np.unique(phi.ia[in_blk]), np.unique(phi.ib[in_blk])
-        (tids1, aggs1), (tids2, aggs2) = sides[gis[0]]
+        survivors.append((rows1, np.union1d(rows1, rows2) if blk.shared else rows2))
+    fetched = _per_block_side(
+        spark, spec, blocks,
+        lambda b, rel, vary, side: _fetch_values(
+            rel, vary, blocks[b], segs[blocks[b].g], summaries[b][side][0], survivors[b][side]
+        ),
+    )
+    vecs: list = [None] * len(spec.gms)
+    for blk, ((_, aggs1), (_, aggs2)), (v1, v2) in zip(blocks, summaries, fetched):
         seg = segs[blk.g]
-        if blk.shared:
-            v2 = _fetch_values(blk.rel2, spec.t2.vary_cols, blk, seg, tids2, np.union1d(rows1, rows2))
-            v1 = v2
-        else:
-            v2 = _fetch_values(blk.rel2, spec.t2.vary_cols, blk, seg, tids2, rows2)
-            v1 = _fetch_values(blk.rel1, spec.t1.vary_cols, blk, seg, tids1, rows1)
-        for gm, gi in zip(blk.value_cols, gis):
+        for gm in blk.value_cols:
+            gi = gm_index[gm]
             vecs[gi] = (v1[gm], aggs1[gm].member, v2[gm], aggs2[gm].member, seg.edges)
             on = alive & (phi.gm == gi)
             phi.stats.surviving_trends += len(np.unique(phi.ia[on])) + len(np.unique(phi.ib[on]))
@@ -460,6 +542,6 @@ def compare_topk_pruned(
         (tids1, _), (tids2, _) = sides[gi]
         score = score_from_sum(spec.scorer, phi.lb[i].sum(), phi.cnt[i])
         rows.append((tids1[phi.ia[i]], tids2[phi.ib[i]], gi, score))
-    out = spark.createDataFrame(output_rows(spec, rows), output_schema(df, spec))
+    out = local_frame(spark, output_rows(spec, rows), output_schema(df, spec))
     return (out, phi.stats) if return_stats else out
 

@@ -74,6 +74,16 @@ CATALOG = {
             (("day", m("AVG", "arr_delay")),), dedup="none",
         ),
     ),
+    # Q2 with trends keyed by two columns (string, bigint): pairs match
+    # within a month; top-k prunes whole trends, so Φp's survivor fetch
+    # filters on both columns at once
+    "q2_month": (
+        "flight",
+        CompareSpec(
+            ts(("airport",), ("month",)), ts(("airport",), ("month",)),
+            (("day", m("AVG", "arr_delay")),),
+        ),
+    ),
     # Table 4 Q3: one airport against itself over many (g, m)
     "q3": (
         "flight",

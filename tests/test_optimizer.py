@@ -134,3 +134,10 @@ class TestAlgorithm1:
         out = compare_trendwise(flight_df, spec, groups=groups)
         check_against_oracle(out, spec, flight_df)
         clear_cache()
+
+    def test_stats_over_constraint_and_grouping_columns_pick_same_groups(self, flight_df):
+        from repro.core.compare import _optimizer_groups
+
+        _, spec = CATALOG["q4"]
+        full = TableStats.from_df(flight_df, list(spec.input_cols), {"week": "day"})
+        assert _optimizer_groups(flight_df, spec, {"week": "day"}) == merge_partition(spec, full)

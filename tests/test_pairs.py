@@ -1,11 +1,13 @@
 """Driver-side pair enumeration (``pairs.candidate_pairs``) agrees with the
 Spark ``pair_condition`` join on every pair semantics: symmetric dedup,
-a fixed slice against all trends, and multi-column constraints."""
+a fixed slice against all trends, and multi-column constraints; and the
+local relation that carries driver-built results."""
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.aggregates import filtered
-from repro.core.pairs import candidate_pairs, pair_condition, rename_side
+from repro.core.pairs import candidate_pairs, local_frame, pair_condition, rename_side
 
 from .spec_catalog import CATALOG, fixture_for
 
@@ -34,3 +36,18 @@ def test_candidate_pairs_match_pair_condition_join(request, name):
     driver_pairs = sorted((tids1[i], tids2[j]) for i, j in zip(ia, ib))
     assert driver_pairs == spark_pairs
     assert len(spark_pairs) > 0
+
+
+def test_local_frame_keeps_rows_and_schema(spark):
+    schema = T.StructType([
+        T.StructField("l_airport", T.StringType()),
+        T.StructField("l_day", T.LongType()),
+        T.StructField("score", T.DoubleType()),
+    ])
+    rows = [("A0", 3, 1.5), ("A1", None, 0.25)]
+    out = local_frame(spark, rows, schema)
+    assert out.schema == schema
+    assert [tuple(r) for r in out.collect()] == rows
+    empty = local_frame(spark, [], schema)
+    assert empty.schema == schema
+    assert empty.collect() == []

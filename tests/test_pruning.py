@@ -1,12 +1,14 @@
 """Φp pruning operator correctness (§5): bounds soundness, Algorithm 2
 top-k exactness across directions/parameters, and pruning effectiveness."""
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, compare_topk, topk_exact
+from repro.core.pairs import output_schema
 from repro.core.pruning import PruneStats, compare_topk_pruned, sturges
 from repro.core.spec import Scorer
 
@@ -39,7 +41,9 @@ class TestSturges:
 
 
 class TestTopkExactness:
-    @pytest.mark.parametrize("name", ["q1", "q2", "q4", "ex1a", "ex2a", "tpcds_q1"])
+    @pytest.mark.parametrize(
+        "name", ["q1", "q2", "q2_month", "q3", "q4", "ex1a", "ex1b", "ex2a", "ex2b", "tpcds_q1"]
+    )
     @pytest.mark.parametrize("ascending", [True, False])
     def test_matches_exact_topk(self, request, name, ascending):
         dataset, spec = CATALOG[name]
@@ -201,6 +205,60 @@ class TestPruneStats:
         n = df.count()
         # §5.3: O(p × log(n/p)) summary floats
         assert stats.summary_floats <= 4 * n_trends * (1 + math.log2(max(2, n)))
+
+
+@contextmanager
+def _job_group(sc, group):
+    """Run the body under job group ``group``; yields the group's job ids
+    as a function, read once Spark's listener bus has caught up."""
+    sc.setJobGroup(group, group)
+    try:
+        def jobs():
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+            return sorted(sc.statusTracker().getJobIdsForGroup(group))
+        yield jobs
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+
+class TestSparkActions:
+    def test_result_is_local(self, request, spark):
+        dataset, spec = CATALOG["q2"]
+        df = request.getfixturevalue(fixture_for(dataset))
+        out = compare_topk_pruned(df, spec, 3)
+        with _job_group(spark.sparkContext, "phi-result-collect") as jobs:
+            rows = out.collect()
+        assert jobs() == []
+        assert len(rows) == 3
+        assert out.schema == output_schema(df, spec)
+
+    def test_k_at_least_pairs_keeps_every_pair(self, request):
+        dataset, spec = CATALOG["q2"]
+        df = request.getfixturevalue(fixture_for(dataset))
+        out = compare_topk_pruned(df, spec, 1000, ascending=False)
+        exact = topk_exact(compare(df, spec, strategy="trendwise"), 1000, False).collect()
+        got = out.collect()
+        assert out.schema == output_schema(df, spec)
+        assert len(got) == len(exact) == 28
+        assert [r[:-1] for r in got] == [r[:-1] for r in exact]
+        assert [r["score"] for r in got] == pytest.approx([r["score"] for r in exact])
+
+    def test_concurrent_actions_keep_callers_job_group(self, request, spark):
+        # q4 has two blocks (day, week): each phase runs its actions concurrently
+        dataset, spec = CATALOG["q4"]
+        df = request.getfixturevalue(fixture_for(dataset))
+        sc = spark.sparkContext
+        marks = []
+        for name in ("before", "call", "after"):
+            with _job_group(sc, f"phi-jobs-{name}") as jobs:
+                if name == "call":
+                    compare_topk_pruned(df, spec, 3).collect()
+                else:
+                    spark.range(1).collect()
+            marks.append(jobs())
+        (before,), in_call, (after,) = marks
+        assert len(in_call) >= 4  # at least 2 domain and 2 summary actions
+        assert in_call == list(range(before + 1, after))
 
 
 def _matched_total(df, spec):
