@@ -23,7 +23,7 @@ from repro.core.spec import CompareSpec, output_cols
 from . import client_core as cc
 
 
-def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str]]:
+def _tagged_union(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """UNION of all (side, gm) aggregates — the UDF's GROUPING SETS input."""
     rels = gm_relations(build_vector_blocks(df, spec, persist=False), spec)
     all_vary: list[str] = []
@@ -47,10 +47,10 @@ def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str
     out = parts[0]
     for p in parts[1:]:
         out = out.unionByName(p)
-    return out, all_vary
+    return out
 
 
-def _make_udf(spec: CompareSpec, all_vary: list[str], k: int | None, ascending: bool):
+def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
     cols = output_cols(spec)
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -87,7 +87,6 @@ def compare_udf(
     ascending: bool = True,
 ) -> DataFrame:
     """COMPARE via the sequential UDF baseline (all pairs, or top-k)."""
-    union, all_vary = _tagged_union(df, spec)
-    return union.repartition(1).mapInPandas(
-        _make_udf(spec, all_vary, k, ascending), output_schema(df, spec)
+    return _tagged_union(df, spec).repartition(1).mapInPandas(
+        _make_udf(spec, k, ascending), output_schema(df, spec)
     )

@@ -1,6 +1,6 @@
 """Evaluation harness: Table 4 workloads, dataset loaders, timing."""
 from .workloads import Workload, flight_queries, tpcds_queries
-from .harness import get_dataset, execute, timed, METHODS
+from .harness import get_dataset, execute, timed
 
 __all__ = [
     "Workload",
@@ -9,5 +9,4 @@ __all__ = [
     "get_dataset",
     "execute",
     "timed",
-    "METHODS",
 ]

@@ -1,4 +1,4 @@
-"""Timing + dataset harness shared by jobs/ and benchmarks/.
+"""Timing + dataset harness for the jobs/ entrypoints.
 
 Datasets are generated once per (name, sf, …) and cached in memory
 (paper §8 reports warm runs with tables in the buffer pool). Every
@@ -22,7 +22,6 @@ from repro.core.compare import compare_topk
 from .workloads import Workload
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
-TEST_SF = 0.004
 #: simulated middleware link (paper: 10 MB/s); override for tests
 MIDDLEWARE_MBPS = float(os.environ.get("REPRO_MIDDLEWARE_MBPS", "10"))
 
@@ -73,10 +72,6 @@ def drop_datasets() -> None:
             pass  # session already stopped
 
 
-#: method name → callable(df, workload) that fully materializes a top-k run
-METHODS = ("naive_sql", "udf", "middleware", "compare")
-
-
 def execute(method: str, df: DataFrame, wl: Workload, **kw) -> int:
     """Run one top-k comparative query end to end; returns result rows."""
     k, asc = wl.k, wl.ascending
@@ -88,8 +83,7 @@ def execute(method: str, df: DataFrame, wl: Workload, **kw) -> int:
         bw = kw.pop("bandwidth_mbps", MIDDLEWARE_MBPS)
         return len(compare_middleware(df, wl.spec, k=k, ascending=asc, bandwidth_mbps=bw))
     # COMPARE strategies (full system + ablation levels)
-    strategy = {"compare": "compare"}.get(method, method)
-    out = compare_topk(df, wl.spec, k, ascending=asc, strategy=strategy, fds=wl.fds, **kw)
+    out = compare_topk(df, wl.spec, k, ascending=asc, strategy=method, fds=wl.fds, **kw)
     return len(out.collect())
 
 

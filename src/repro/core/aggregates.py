@@ -143,7 +143,6 @@ class VectorBlock:
     """
 
     g: str
-    gms: tuple[GM, ...]
     value_cols: dict  # gm -> value column name in rel1/rel2
     rel1: DataFrame
     rel2: DataFrame
@@ -217,7 +216,6 @@ def build_vector_blocks(
         blocks.append(
             VectorBlock(
                 g=key[1],
-                gms=tuple(cols),
                 value_cols=cols,
                 rel1=rel1,
                 rel2=rel2,

@@ -11,7 +11,9 @@ Top-k-only strategies (``compare_topk``):
 
 * ``pruned``  — Φp segment-aggregate pruning, no early termination.
 * ``compare`` — the full system: Φp pruning + early termination,
-  Algorithm-1 merge groups (the paper's COMPARE configuration).
+  Algorithm-1 merge groups (the paper's COMPARE configuration). Φp's
+  bounds need a SUM/AVG scorer; a MIN/MAX scorer falls back to the exact
+  trendwise comparison over the same groups.
 """
 from __future__ import annotations
 
@@ -88,6 +90,8 @@ def compare_topk(
         groups = phi_kwargs.pop("groups", None)
         if groups is None and len(spec.gms) > 1:
             groups = _optimizer_groups(df, spec, fds)
+        if spec.scorer.agg in ("MIN", "MAX") and not phi_kwargs:
+            return topk_exact(compare_trendwise(df, spec, groups=groups), k, ascending)
         return compare_topk_pruned(
             df, spec, k, ascending=ascending, early_termination=True,
             groups=groups, **phi_kwargs,

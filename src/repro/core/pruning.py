@@ -467,7 +467,6 @@ def compare_topk_pruned(
     tuples_per_update: int | None = None,
     early_termination: bool = True,
     groups: list[MergeGroup] | None = None,
-    share_sides: bool = True,
     return_stats: bool = False,
 ):
     """Top-k comparative query through the Φp pruning operator.
@@ -485,7 +484,7 @@ def compare_topk_pruned(
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     # Block-organized aggregates (§4.2 sharing): one relation per grouping
     # column carrying every measure, persisted for the phases below.
-    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides)
+    blocks = build_vector_blocks(df, spec, groups)
     segs = segmentations(blocks, n_segments)
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
 

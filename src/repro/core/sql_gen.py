@@ -35,7 +35,7 @@ def _constraint_exprs(spec: CompareSpec, side: int, alias: str) -> list[str]:
     return exprs
 
 
-def _pair_cond(spec: CompareSpec, dialect: str) -> str | None:
+def _pair_cond(spec: CompareSpec) -> str | None:
     """Trend-identity condition, expanded to scalar comparisons so both
     dialects apply numeric type coercion to literals."""
     a = _constraint_exprs(spec, 1, "a")
@@ -77,7 +77,7 @@ def _gm_subquery(spec: CompareSpec, gm: GM, table: str, dialect: str) -> str:
             else:
                 l_sel.append(f"{_lit(t.value)} AS {pre}{t.col}")
     cond = f"a.__g = b.__g"
-    pc = _pair_cond(spec, dialect)
+    pc = _pair_cond(spec)
     if pc:
         cond += f" AND {pc}"
     inner = (

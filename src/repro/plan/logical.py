@@ -142,6 +142,12 @@ class TopK(Node):
         return (self.child,)
 
 
+def chain_stage_name(spec: CompareSpec) -> str:
+    """Stable score-column name for a chain stage (survives R4 reorder)."""
+    g, m = spec.gms[0]
+    return f"score_{g}_{m.agg}_{m.col}".lower()
+
+
 @dataclass(frozen=True)
 class CompareChain(Node):
     """A chain of Φ operations over the same pair structure (§6 R4).
@@ -168,10 +174,7 @@ class CompareChain(Node):
     def cols(self) -> tuple[str, ...]:
         from repro.core.pairs import pair_key_cols
 
-        names = sorted(
-            f"score_{s.gms[0][0]}_{s.gms[0][1].agg}_{s.gms[0][1].col}".lower()
-            for s, _, _ in self.stages
-        )
+        names = sorted(chain_stage_name(s) for s, _, _ in self.stages)
         return tuple(pair_key_cols(self.stages[0][0])) + tuple(names)
 
     @property

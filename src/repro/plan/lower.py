@@ -2,8 +2,9 @@
 
 ``lower(node, catalog)`` turns a logical tree into a (lazy) DataFrame.
 COMPARE nodes dispatch to the execution strategies of
-:mod:`repro.core`; a ``TopK`` directly above a Φ with a SUM/AVG scorer
-lowers to the Φp pruning physical operator.
+:mod:`repro.core`; a ``TopK`` directly above a Φ lowers to
+``compare_topk``'s ``compare`` strategy (the Φp pruning physical
+operator, or exact trendwise for a MIN/MAX scorer).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from functools import reduce
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.compare import compare, compare_topk
+from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.pairs import pair_key_cols
 from repro.core.trendwise import compare_trendwise
 
@@ -30,6 +31,7 @@ from .logical import (
     ScoreAgg,
     TopK,
     Union,
+    chain_stage_name,
 )
 
 
@@ -70,7 +72,7 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
     if isinstance(node, Compare):
         return compare(lower(node.child, catalog, strategy), node.spec, strategy=strategy)
     if isinstance(node, TopK):
-        if isinstance(node.child, Compare) and node.child.spec.scorer.agg in ("SUM", "AVG"):
+        if isinstance(node.child, Compare):
             return compare_topk(
                 lower(node.child.child, catalog, strategy),
                 node.child.spec,
@@ -78,11 +80,7 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
                 ascending=node.ascending,
                 strategy="compare",
             )
-        df = lower(node.child, catalog, strategy)
-        order = [F.col("score").asc() if node.ascending else F.col("score").desc()] + [
-            F.col(c) for c in df.columns if c != "score"
-        ]
-        return df.orderBy(*order).limit(node.k)
+        return topk_exact(lower(node.child, catalog, strategy), node.k, node.ascending)
     if isinstance(node, CompareChain):
         return _lower_chain(node, catalog, strategy)
     if isinstance(node, Union):
@@ -90,7 +88,7 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
         return reduce(DataFrame.unionByName, parts)
     if isinstance(node, ScoreAgg):
         # verbose sub-plan: execute as the basic §4.1 plan it denotes
-        extracted = R._extract_scoreagg(node)
+        extracted = R.extract_scoreagg(node)
         if extracted is None:
             raise ValueError("malformed verbose comparative sub-plan")
         scan, spec = extracted
@@ -100,12 +98,6 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
     if isinstance(node, PairJoin):
         raise NotImplementedError("PairJoin lowers only under ScoreAgg")
     raise TypeError(f"cannot lower {type(node).__name__}")
-
-
-def chain_stage_name(spec) -> str:
-    """Stable score-column name for a chain stage (survives R4 reorder)."""
-    g, m = spec.gms[0]
-    return f"score_{g}_{m.agg}_{m.col}".lower()
 
 
 def _lower_chain(node: CompareChain, catalog, strategy: str) -> DataFrame:

@@ -166,7 +166,7 @@ def _extract_side(n: Node, g: str):
     return child, TrendsetSpec(terms), Measure(agg_fn, col)
 
 
-def _extract_scoreagg(sa: ScoreAgg):
+def extract_scoreagg(sa: ScoreAgg):
     """ScoreAgg(PairJoin(side, side)) → (scan, single-gm CompareSpec)."""
     pj = sa.child
     if not isinstance(pj, PairJoin):
@@ -209,7 +209,7 @@ def r5_verbose_to_compare(node: Node) -> Node | None:
         parts = list(node.inputs)
     if not parts:
         return None
-    extracted = [_extract_scoreagg(sa) for sa in parts]
+    extracted = [extract_scoreagg(sa) for sa in parts]
     if any(e is None for e in extracted):
         return None
     scan0, spec0 = extracted[0]

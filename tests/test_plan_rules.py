@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.aggregates import clear_cache
+from repro.core.compare import compare, topk_exact
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 from repro.plan import (
     Compare,
@@ -215,10 +216,11 @@ class TestR4:
         assert R.r4_reorder_chain(_chain((0.1, 0.9))) is None
 
     def test_results_preserved_across_orders(self, catalog):
-        _frames_equal(
-            lower(_chain((0.9, 0.1)), catalog),
-            lower(optimize_tree(_chain((0.9, 0.1))), catalog),
-        )
+        chain = _chain((0.9, 0.1))
+        reordered = optimize_tree(chain)
+        for node in (chain, reordered):
+            assert tuple(lower(node, catalog).columns) == node.cols
+        _frames_equal(lower(chain, catalog), lower(reordered, catalog))
 
     def test_mismatched_pair_structure_rejected(self):
         s1 = CompareSpec(ts(("city",)), ts(("city",)), (("week", Measure("AVG", "revenue")),))
@@ -296,6 +298,14 @@ class TestLowering:
 
         exp = topk_exact(compare(catalog["flights"], spec, "trendwise"), 3, True).toPandas()
         assert sorted(got["score"].round(6)) == pytest.approx(sorted(exp["score"].round(6)))
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_topk_over_minmax_compare_is_exact_trendwise(self, catalog, ascending):
+        _, spec = CATALOG["max_scorer"]
+        sales = catalog["sales"]
+        node = TopK(Compare(Scan("sales", tuple(sales.columns)), spec), 3, ascending=ascending)
+        exp = topk_exact(compare(sales, spec, "trendwise"), 3, ascending)
+        pd.testing.assert_frame_equal(lower(node, catalog).toPandas(), exp.toPandas())
 
     def test_join_lowering_keeps_both_key_columns(self, catalog):
         node = Join(Scan("websales", WS_COLS), Scan("webpages", WP_COLS),

@@ -112,6 +112,15 @@ class TestTopkExactness:
         with pytest.raises(ValueError, match="SUM/AVG"):
             compare_topk_pruned(df, spec, 3)
 
+    @pytest.mark.parametrize("name", ["max_scorer", "min_scorer"])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_facade_compare_strategy_minmax_is_exact_trendwise(self, request, name, ascending):
+        dataset, spec = CATALOG[name]
+        df = request.getfixturevalue(fixture_for(dataset))
+        got = compare_topk(df, spec, 3, ascending=ascending, strategy="compare")
+        exp = topk_exact(compare(df, spec, strategy="trendwise"), 3, ascending)
+        assert got.collect() == exp.collect()
+
     def test_facade_compare_strategy(self, request):
         dataset, spec = CATALOG["q4"]
         df = request.getfixturevalue(fixture_for(dataset))

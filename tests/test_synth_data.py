@@ -88,16 +88,3 @@ class TestSales:
         bad = sales_df.select("week", "month").distinct().groupBy("week").count()
         assert bad.filter("count > 1").count() == 0
 
-
-class TestProvidedGenerators:
-    def test_lineitem_rows(self, spark):
-        assert sd.lineitem(spark, sf=0.0001).count() == 600
-
-    def test_zipf_skew(self, spark):
-        pdf = sd.zipf_keys(spark, n=5000, n_keys=100).groupBy("k").count().toPandas()
-        top = pdf.sort_values("count", ascending=False).iloc[0]
-        assert top["k"] == 1 and top["count"] > 5000 / 100 * 3
-
-    def test_uniform_keys_cover_domain(self, spark):
-        pdf = sd.uniform_keys(spark, n=5000, n_keys=10).toPandas()
-        assert set(pdf.k.unique()) == set(range(1, 11))
