@@ -218,9 +218,9 @@ class TestR4:
     def test_results_preserved_across_orders(self, catalog):
         chain = _chain((0.9, 0.1))
         reordered = optimize_tree(chain)
-        for node in (chain, reordered):
-            assert tuple(lower(node, catalog).columns) == node.cols
-        _frames_equal(lower(chain, catalog), lower(reordered, catalog))
+        a, b = lower(chain, catalog), lower(reordered, catalog)
+        assert (tuple(a.columns), tuple(b.columns)) == (chain.cols, reordered.cols)
+        _frames_equal(a, b)
 
     def test_mismatched_pair_structure_rejected(self):
         s1 = CompareSpec(ts(("city",)), ts(("city",)), (("week", Measure("AVG", "revenue")),))
