@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.pairs import candidate_pairs
+from repro.core.pairs import candidate_pairs, output_rows
 from repro.core.pruning import SegAgg, bound_pairs, prune_slack
 from repro.core.scorer import align, score_from_sum, score_np, score_pair
-from repro.core.spec import CompareSpec
+from repro.core.spec import CompareSpec, output_cols
 
 
 def group_trends(pdf: pd.DataFrame, vary_cols, gcol: str, vcol: str):
@@ -94,3 +94,13 @@ def topk_pairs(spec: CompareSpec, per_gm: list[tuple[dict, dict]], k: int, ascen
     scored.sort(key=lambda r: (r[3] if ascending else -r[3], r[0], r[1], r[2]))
     return scored[:k]
 
+
+def result_frame(
+    spec: CompareSpec, per_gm: list[tuple[dict, dict]], k: int | None, ascending: bool
+) -> pd.DataFrame:
+    """The client's COMPARE output: every pair's score, or the top-k (``k``)."""
+    if k is None:
+        rows = [r for gi, (t1, t2) in enumerate(per_gm) for r in score_all_pairs(spec, t1, t2, gi)]
+    else:
+        rows = topk_pairs(spec, per_gm, k, ascending)
+    return pd.DataFrame(output_rows(spec, rows), columns=output_cols(spec))

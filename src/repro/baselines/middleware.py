@@ -19,8 +19,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.aggregates import G_COL, V_COL, build_vector_blocks, gm_relations
-from repro.core.pairs import output_rows
-from repro.core.spec import CompareSpec, output_cols
+from repro.core.spec import CompareSpec
 
 from . import client_core as cc
 
@@ -45,7 +44,7 @@ def compare_middleware(
 ):
     """COMPARE computed in a middleware client. Returns a pandas frame
     (the result lives client-side), optionally with total bytes moved."""
-    rels = gm_relations(build_vector_blocks(df, spec, persist=False), spec)
+    rels = gm_relations(build_vector_blocks(df, spec), spec)
     total_bytes = 0
     per_gm = []
     for gm in spec.gms:
@@ -60,11 +59,5 @@ def compare_middleware(
         t1 = cc.group_trends(p1, spec.t1.vary_cols, G_COL, V_COL)
         t2 = cc.group_trends(p2, spec.t2.vary_cols, G_COL, V_COL)
         per_gm.append((t1, t2))
-    if k is None:
-        rows = []
-        for gi, (t1, t2) in enumerate(per_gm):
-            rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
-    else:
-        rows = cc.topk_pairs(spec, per_gm, k, ascending)
-    out = pd.DataFrame(output_rows(spec, rows), columns=output_cols(spec))
+    out = cc.result_frame(spec, per_gm, k, ascending)
     return (out, total_bytes) if return_bytes else out

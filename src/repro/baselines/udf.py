@@ -17,15 +17,15 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.aggregates import G_COL, V_COL, build_vector_blocks, gm_relations
-from repro.core.pairs import output_rows, output_schema
-from repro.core.spec import CompareSpec, output_cols
+from repro.core.pairs import output_schema
+from repro.core.spec import CompareSpec
 
 from . import client_core as cc
 
 
 def _tagged_union(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """UNION of all (side, gm) aggregates — the UDF's GROUPING SETS input."""
-    rels = gm_relations(build_vector_blocks(df, spec, persist=False), spec)
+    rels = gm_relations(build_vector_blocks(df, spec), spec)
     all_vary: list[str] = []
     for ts in (spec.t1, spec.t2):
         for c in ts.vary_cols:
@@ -51,8 +51,6 @@ def _tagged_union(df: DataFrame, spec: CompareSpec) -> DataFrame:
 
 
 def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
-    cols = output_cols(spec)
-
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         chunks = [b for b in batches if not b.empty]
         if not chunks:
@@ -68,13 +66,7 @@ def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
                 part[part["__side"] == 2], spec.t2.vary_cols, "__gs", V_COL
             )
             per_gm.append((t1, t2))
-        if k is None:
-            rows = []
-            for gi, (t1, t2) in enumerate(per_gm):
-                rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
-        else:
-            rows = cc.topk_pairs(spec, per_gm, k, ascending)
-        yield pd.DataFrame(output_rows(spec, rows), columns=cols)
+        yield cc.result_frame(spec, per_gm, k, ascending)
 
     return fn
 

@@ -2,8 +2,8 @@
 
 Datasets are generated once per (name, sf, …) and cached in memory
 (paper §8 reports warm runs with tables in the buffer pool). Every
-measured execution materializes its result and releases any persisted
-merged aggregates afterwards so runs are independent.
+measured execution materializes its result; a COMPARE strategy releases
+the aggregates it persisted before it returns, so runs are independent.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro import synth_data as sd
 from repro.baselines.middleware import compare_middleware
 from repro.baselines.naive_sql import compare_topk_naive_sql
 from repro.baselines.udf import compare_udf
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare_topk
 
 from .workloads import Workload
@@ -88,13 +87,12 @@ def execute(method: str, df: DataFrame, wl: Workload, **kw) -> int:
 
 
 def timed(fn, *args, repeat: int = 1, **kw) -> float:
-    """Best-of-``repeat`` wall-clock seconds; clears plan caches between runs."""
+    """Best-of-``repeat`` wall-clock seconds of ``fn(*args, **kw)``."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn(*args, **kw)
         best = min(best, time.perf_counter() - t0)
-        clear_cache()
     return best
 
 

@@ -7,8 +7,7 @@ schema ``(vary constraint cols…, __g, __m0, __m1, …)``, one row per
 (trend, grouping value) and one value column per (g, m) of the block.
 
 * A group over one grouping column is one group-by computing all of its
-  measures (with :func:`single_groups`, the §4.1 basic plan: one group-by
-  per (g, m)).
+  measures.
 * A group over several grouping columns is *merged*: one group-by
   computing partial aggregates over the union of grouping columns, then a
   cheap re-aggregate per grouping column (§4.2 "Merging group-by
@@ -18,18 +17,22 @@ schema ``(vary constraint cols…, __g, __m0, __m1, …)``, one row per
   filtering T2's instead of re-scanning the base relation; identical
   trendsets share one relation object.
 
-The per-(g, m) plans (basic/merged joins, the UDF and middleware
+The per-(g, m) plans (the merged join, the UDF and middleware
 baselines) read each (g, m) as the projection ``(vary…, __g, __v)`` of
 its block (:func:`gm_relations`).
 
-Merged partials and blocks are persisted (Spark does not share work
-between the re-aggregates otherwise); handles are tracked in
-:data:`PERSISTED` and released via :func:`clear_cache`.
+Inside a :func:`persisted` scope the merged partials and the blocks are
+persisted (Spark does not share work between the re-aggregates, nor
+between the actions that read a block, otherwise) and leaving the scope
+unpersists them; outside one the blocks are plain lazy plans.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -38,14 +41,35 @@ from .spec import GM, CompareSpec, Measure, TrendsetSpec
 G_COL = "__g"
 V_COL = "__v"
 
-#: DataFrames persisted by aggregate plans; release with clear_cache().
-PERSISTED: list[DataFrame] = []
+#: The frames the innermost open :func:`persisted` scope has persisted.
+_SCOPE: ContextVar[list[DataFrame] | None] = ContextVar("persisted_scope", default=None)
+
+
+@contextmanager
+def persisted():
+    """Persist the aggregates built in this scope (a context manager or a
+    decorator); unpersist them on exit. A nested scope releases only its own
+    frames: one whose plan is already cached is not persisted again."""
+    frames: list[DataFrame] = []
+    token = _SCOPE.set(frames)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        while frames:  # dependents first: a block before the partial it reads
+            frames.pop().unpersist()
+
+
+def _persist(df: DataFrame) -> None:
+    """Persist ``df`` for the open scope, if there is one and ``df`` is not cached yet."""
+    frames = _SCOPE.get()
+    if frames is not None and df.storageLevel == StorageLevel.NONE:
+        frames.append(df.persist())
 
 
 def clear_cache() -> None:
-    """Unpersist every intermediate cached by aggregate plans."""
-    while PERSISTED:
-        PERSISTED.pop().unpersist()
+    """No-op. Aggregates are released by the :func:`persisted` scope that
+    persisted them; this stays only because ``perfbench/run.py`` imports it."""
 
 
 @dataclass(frozen=True)
@@ -69,11 +93,6 @@ class MergeGroup:
             if m not in out:
                 out.append(m)
         return tuple(out)
-
-
-def single_groups(gms: tuple[GM, ...]) -> list[MergeGroup]:
-    """One group-by per (g, m) — the basic plan of §4.1."""
-    return [MergeGroup((gm,)) for gm in gms]
 
 
 def same_grouping_groups(gms: tuple[GM, ...]) -> list[MergeGroup]:
@@ -165,8 +184,7 @@ def _block_rels_for_side(df: DataFrame, ts: TrendsetSpec, groups: list[MergeGrou
         else:
             exprs, names = _partial_exprs(grp.measures)
             partial = base.groupBy(*vary, *grp.groupings).agg(*exprs)
-            partial = partial.persist()
-            PERSISTED.append(partial)
+            _persist(partial)
             for g in grp.groupings:
                 gms_g = tuple(gm for gm in grp.gms if gm[0] == g)
                 cols = {gm: f"__m{j}" for j, gm in enumerate(gms_g)}
@@ -178,18 +196,13 @@ def _block_rels_for_side(df: DataFrame, ts: TrendsetSpec, groups: list[MergeGrou
 
 
 def build_vector_blocks(
-    df: DataFrame,
-    spec: CompareSpec,
-    groups: list[MergeGroup] | None = None,
-    *,
-    share_sides: bool = True,
-    persist: bool = True,
+    df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
     """Block relations for both sides (T1 reuses T2's when possible)."""
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     side2 = _block_rels_for_side(df, spec.t2, groups)
-    slice_f = slice_filters(spec) if share_sides else None
-    if share_sides and spec.same_trendsets:
+    slice_f = slice_filters(spec)
+    if spec.same_trendsets:
         side1 = side2
     elif slice_f is not None:
         side1 = {}
@@ -202,25 +215,13 @@ def build_vector_blocks(
     else:
         side1 = _block_rels_for_side(df, spec.t1, groups)
     blocks = []
-    for key in side2:
-        rel2, cols = side2[key]
+    for key, (rel2, cols) in side2.items():
         rel1 = side1[key][0]
-        if persist:
-            rel2 = rel2.persist()
-            PERSISTED.append(rel2)
-            if rel1 is not side2[key][0]:
-                rel1 = rel1.persist()
-                PERSISTED.append(rel1)
-            else:
-                rel1 = rel2
+        _persist(rel2)
+        if rel1 is not rel2:
+            _persist(rel1)
         blocks.append(
-            VectorBlock(
-                g=key[1],
-                value_cols=cols,
-                rel1=rel1,
-                rel2=rel2,
-                shared=rel1 is rel2,
-            )
+            VectorBlock(g=key[1], value_cols=cols, rel1=rel1, rel2=rel2, shared=rel1 is rel2)
         )
     return blocks
 

@@ -1,26 +1,46 @@
-"""Basic COMPARE execution (paper §4.1).
+"""Basic COMPARE execution (paper §4.1) and the merged ablation level.
 
-The sub-plan a relational engine produces for the verbose SQL of
-Fig. 3: per (grouping, measure) a group-by aggregate, a *trendset-level*
-join on the grouping column, scoring via the aggregate scorer, and a
-UNION ALL over the (g, m) combinations.
+The §4.1 basic plan *is* the sub-plan a relational engine produces for
+the verbose SQL of Fig. 3: per (grouping, measure) a group-by aggregate,
+a *trendset-level* join on the grouping column, scoring via the
+aggregate scorer, and a UNION ALL over the (g, m) combinations.
+``compare_basic(df, spec)`` hands that SQL text to ``spark.sql``, so
+Catalyst plans it.
 
-``compare_basic(df, spec)`` is the unoptimized §4.1 plan;
-``compare_merged(df, spec, groups=...)`` is the same join topology
-over *merged* group-by aggregates (the first §4.2 optimization alone,
-used for the Fig. 9b ablation).
+``compare_merged(df, spec, groups)`` is the same join topology over
+*merged* group-by aggregates (the first §4.2 optimization alone, used
+for the Fig. 9b ablation).
 """
 from __future__ import annotations
 
-from functools import reduce
+import uuid
+from functools import partial, reduce
+from typing import Callable
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from . import scorer as sc
-from .aggregates import G_COL, V_COL, MergeGroup, build_vector_blocks, gm_relations, single_groups
-from .pairs import finish_output, pair_condition, pair_key_cols, rename_side
+from .aggregates import G_COL, V_COL, MergeGroup, build_vector_blocks, gm_relations
+from .pairs import pair_condition, pair_key_cols, rename_side, with_fixed_literals
 from .spec import CompareSpec, output_cols
+from .sql_gen import verbose_sql
+
+
+def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
+    """``spark.sql(render(view))`` with ``df`` registered as the temp view ``view``."""
+    view = "R_" + uuid.uuid4().hex[:8]
+    # The view stays registered: dropping a temp view over a cached
+    # DataFrame uncaches that DataFrame (as does ``spark.sql(text, R=df)``,
+    # which drops its own views afterwards), so cleaning up would uncache
+    # the caller's input.
+    df.createOrReplaceTempView(view)
+    return df.sparkSession.sql(render(view))
+
+
+def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
+    """§4.1 basic plan: the verbose Fig. 3 SQL through Catalyst."""
+    return sql_on_view(df, partial(verbose_sql, spec, dialect="spark"))
 
 
 def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFrame:
@@ -41,33 +61,13 @@ def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFr
         scored = joined.agg(sc.agg_col(spec.scorer, diff).alias("score"))
         # the aggregate emits one row even with no matches; drop it then
         scored = scored.filter(F.col("score").isNotNull())
-    return finish_output(scored, spec, gm).select(*output_cols(spec))
-
-
-def compare_with_groups(
-    df: DataFrame,
-    spec: CompareSpec,
-    groups: list[MergeGroup] | None,
-    *,
-    share_sides: bool,
-    persist: bool,
-) -> DataFrame:
-    """Trendset-level join plan over a given aggregate grouping."""
-    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides, persist=persist)
-    rels = gm_relations(blocks, spec)
-    parts = [_score_gm(spec, gm, *rels[gm]) for gm in spec.gms]
-    return reduce(DataFrame.unionByName, parts)
-
-
-def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
-    """§4.1 basic plan: no aggregate sharing, trendset-level joins."""
-    return compare_with_groups(
-        df, spec, single_groups(spec.gms), share_sides=False, persist=False
-    )
+    labelled = with_fixed_literals(scored, spec).withColumn("grouping", F.lit(gm[0]))
+    return labelled.withColumn("measure", F.lit(gm[1].name)).select(*output_cols(spec))
 
 
 def compare_merged(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> DataFrame:
     """Basic join topology over merged/shared group-by aggregates."""
-    return compare_with_groups(df, spec, groups, share_sides=True, persist=True)
+    rels = gm_relations(build_vector_blocks(df, spec, groups), spec)
+    return reduce(DataFrame.unionByName, [_score_gm(spec, gm, *rels[gm]) for gm in spec.gms])

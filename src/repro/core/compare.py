@@ -2,7 +2,8 @@
 
 Strategies (the Fig. 9b ablation levels, left to right):
 
-* ``basic``     — §4.1 plan: per-(g, m) group-bys, trendset-level join.
+* ``basic``     — §4.1 plan: the verbose Fig. 3 SQL through Catalyst
+  (per-(g, m) group-bys, trendset-level join).
 * ``merged``    — §4.2 merged/shared group-by aggregates, same join.
 * ``trendwise`` — merged aggregates + trendwise partitioned comparison.
 * ``optimized`` — Algorithm-1-chosen merge groups + trendwise comparison.
@@ -20,9 +21,11 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .aggregates import persisted
 from .basic import compare_basic, compare_merged
+from .pairs import local_frame
 from .pruning import compare_topk_pruned
-from .spec import CompareSpec, output_cols
+from .spec import CompareSpec
 from .trendwise import compare_trendwise
 
 EXACT_STRATEGIES = ("basic", "merged", "trendwise", "optimized")
@@ -79,21 +82,26 @@ def compare_topk(
     fds: dict[str, str] | None = None,
     **phi_kwargs,
 ) -> DataFrame:
-    """Top-k comparative query (§3.2), via exact sort or the Φp operator."""
-    if strategy in EXACT_STRATEGIES:
-        return topk_exact(compare(df, spec, strategy, fds=fds), k, ascending)
-    if strategy == "pruned":
-        return compare_topk_pruned(
-            df, spec, k, ascending=ascending, early_termination=False, **phi_kwargs
-        )
-    if strategy == "compare":
-        groups = phi_kwargs.pop("groups", None)
-        if groups is None and len(spec.gms) > 1:
-            groups = _optimizer_groups(df, spec, fds)
-        if spec.scorer.agg in ("MIN", "MAX") and not phi_kwargs:
-            return topk_exact(compare_trendwise(df, spec, groups=groups), k, ascending)
-        return compare_topk_pruned(
-            df, spec, k, ascending=ascending, early_termination=True,
-            groups=groups, **phi_kwargs,
-        )
-    raise ValueError(f"unknown strategy {strategy!r}; pick one of {TOPK_STRATEGIES}")
+    """Top-k comparative query (§3.2), via exact sort or the Φp operator,
+    computed inside the call's ``persisted()`` scope as a local relation."""
+    with persisted():
+        if strategy == "pruned":
+            return compare_topk_pruned(
+                df, spec, k, ascending=ascending, early_termination=False, **phi_kwargs
+            )
+        if strategy == "compare":
+            groups = phi_kwargs.pop("groups", None)
+            if groups is None and len(spec.gms) > 1:
+                groups = _optimizer_groups(df, spec, fds)
+            if spec.scorer.agg not in ("MIN", "MAX") or phi_kwargs:
+                return compare_topk_pruned(
+                    df, spec, k, ascending=ascending, early_termination=True,
+                    groups=groups, **phi_kwargs,
+                )
+            scores = compare_trendwise(df, spec, groups=groups)
+        elif strategy in EXACT_STRATEGIES:
+            scores = compare(df, spec, strategy, fds=fds)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}; pick one of {TOPK_STRATEGIES}")
+        top = topk_exact(scores, k, ascending)
+        return local_frame(df.sparkSession, top.collect(), top.schema)

@@ -14,7 +14,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
-from .spec import CompareSpec, GM, TrendsetSpec, output_cols, side_prefix
+from .spec import CompareSpec, TrendsetSpec, output_cols, side_prefix
 
 
 def rename_side(rel: DataFrame, ts: TrendsetSpec, side: int, extra: dict[str, str]) -> DataFrame:
@@ -102,13 +102,12 @@ def pair_key_cols(spec: CompareSpec) -> list[str]:
     ]
 
 
-def finish_output(scored: DataFrame, spec: CompareSpec, gm: GM) -> DataFrame:
-    """Attach fixed-constraint literals and (grouping, measure) labels."""
-    g, m = gm
+def with_fixed_literals(scored: DataFrame, spec: CompareSpec) -> DataFrame:
+    """Attach both sides' fixed constraint terms as ``l_``/``r_`` literal columns."""
     for side, ts in ((1, spec.t1), (2, spec.t2)):
         for t in ts.fixed:
             scored = scored.withColumn(side_prefix(side) + t.col, F.lit(t.value))
-    return scored.withColumn("grouping", F.lit(g)).withColumn("measure", F.lit(m.name))
+    return scored
 
 
 def py_scalar(v):

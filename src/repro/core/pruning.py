@@ -58,7 +58,9 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.util import inheritable_thread_target
 
-from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks, same_grouping_groups
+from .aggregates import (
+    G_COL, MergeGroup, VectorBlock, build_vector_blocks, persisted, same_grouping_groups,
+)
 from .pairs import candidate_pairs, local_frame, output_rows, output_schema, py_scalar
 from .scorer import diff_np, score_from_sum
 from .spec import CompareSpec
@@ -457,6 +459,7 @@ def _fetch_values(
     return out
 
 
+@persisted()
 def compare_topk_pruned(
     df: DataFrame,
     spec: CompareSpec,

@@ -31,9 +31,9 @@ from .aggregates import (
     VectorBlock,
     build_vector_blocks,
 )
-from .pairs import pair_condition, pair_key_cols, rename_side
+from .pairs import pair_condition, pair_key_cols, rename_side, with_fixed_literals
 from .scorer import score_np
-from .spec import CompareSpec, Scorer, output_cols, side_prefix
+from .spec import CompareSpec, Scorer, output_cols
 
 KEYS1, KEYS2 = "__k1", "__k2"
 
@@ -126,7 +126,6 @@ def compare_trendwise(
     spec: CompareSpec,
     groups: list[MergeGroup] | None = None,
     *,
-    share_sides: bool = True,
     pair_filter: DataFrame | None = None,
 ) -> DataFrame:
     """Merged aggregates + trendwise partitioned comparison.
@@ -136,10 +135,6 @@ def compare_trendwise(
     operations (§6 R4) so later, less selective stages only score pairs
     that survived earlier stages.
     """
-    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides)
-    parts = [_score_block(b, spec, pair_filter) for b in blocks]
-    out = reduce(DataFrame.unionByName, parts)
-    for side, ts in ((1, spec.t1), (2, spec.t2)):
-        for t in ts.fixed:
-            out = out.withColumn(side_prefix(side) + t.col, F.lit(t.value))
-    return out.select(*output_cols(spec))
+    blocks = build_vector_blocks(df, spec, groups)
+    out = reduce(DataFrame.unionByName, [_score_block(b, spec, pair_filter) for b in blocks])
+    return with_fixed_literals(out, spec).select(*output_cols(spec))

@@ -6,19 +6,12 @@ import pytest
 from repro.baselines.middleware import compare_middleware
 from repro.baselines.naive_sql import compare_naive_sql, compare_topk_naive_sql
 from repro.baselines.udf import compare_udf
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, compare_topk, topk_exact
 
 from .conftest import check_against_oracle
 from .spec_catalog import CATALOG, fixture_for
 
 BASELINE_SPECS = ["ex1a", "ex2a", "q1", "q2", "q3", "q4", "tpcds_q1", "avg_scorer", "manhattan"]
-
-
-@pytest.fixture(autouse=True)
-def _release_persisted():
-    yield
-    clear_cache()
 
 
 @pytest.mark.parametrize("name", BASELINE_SPECS)
@@ -75,6 +68,16 @@ def test_naive_sql_topk_matches_compare_topk(request, flight_df):
     a = compare_topk_naive_sql(flight_df, spec, 3, True).toPandas()
     b = compare_topk(flight_df, spec, 3, ascending=True, strategy="compare").toPandas()
     assert sorted(a["score"].round(6)) == pytest.approx(sorted(b["score"].round(6)))
+
+
+def test_verbose_sql_keeps_callers_input_cached(flight_df):
+    """The verbose-SQL paths register a temp view over the input and keep
+    it: dropping the view would uncache the caller's cached DataFrame."""
+    _, spec = CATALOG["q2"]
+    assert flight_df.storageLevel.useMemory
+    compare(flight_df, spec, "basic").collect()
+    compare_topk_naive_sql(flight_df, spec, 3, True).collect()
+    assert flight_df.storageLevel.useMemory
 
 
 def test_middleware_reports_bytes(request, flight_df):

@@ -14,10 +14,8 @@ TINY = 0.002
 def _release(spark):
     yield
     from repro.bench.harness import drop_datasets
-    from repro.core.aggregates import clear_cache
 
     drop_datasets()
-    clear_cache()
 
 
 def test_table4_workloads():

@@ -9,6 +9,10 @@
 * Driver-built relations: in ``core`` and ``baselines`` every
   ``createDataFrame`` call is inside ``pairs.local_frame``, so no query
   path ships driver rows through ``parallelize``.
+* No module-level mutable state in ``core``, ``plan`` and ``baselines``:
+  no module-level name is bound to a list, dict or set (a display, a
+  comprehension or a ``list()``/``dict()``/``set()`` call); ``__all__``
+  is exempt. Per-call state lives in the call (or its context).
 """
 import ast
 from pathlib import Path
@@ -169,4 +173,56 @@ def test_detector_flags_unused_params(tmp_path):
         "m.py:2: m(args)",
         "m.py:2: m(kw)",
         "m.py:9: <lambda>(v)",
+    ]
+
+
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def module_mutables(path: Path) -> list[str]:
+    """Module-level names of one source file bound to a new list, dict or set."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+        mutable = isinstance(value, MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("list", "dict", "set")
+        )
+        if names and mutable:
+            found.append(f"{path.name}:{node.lineno}: {', '.join(names)}")
+    return found
+
+
+def test_no_module_level_mutable_state():
+    files = sorted(f for pkg in ("core", "plan", "baselines") for f in (SRC / pkg).rglob("*.py"))
+    assert any(f.name == "aggregates.py" for f in files)
+    assert [hit for f in files for hit in module_mutables(f)] == []
+
+
+def test_detector_flags_module_mutables(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "__all__ = ['f']\n"
+        "CACHE: list[int] = []\n"
+        "NAMES = ('a', 'b')\n"
+        "BY_NAME = {n: 1 for n in NAMES}\n"
+        "SEEN = set()\n"
+        "A = B = dict(x=1)\n"
+        "LIMIT = len(NAMES)\n"
+        "def f():\n"
+        "    local = []\n"
+        "    return local\n"
+    )
+    assert module_mutables(src) == [
+        "m.py:2: CACHE",
+        "m.py:4: BY_NAME",
+        "m.py:5: SEEN",
+        "m.py:6: A, B",
     ]

@@ -1,7 +1,7 @@
 """Algorithm 1 (merge-partition) and the cost model (§4.2)."""
 import pytest
 
-from repro.core.aggregates import MergeGroup, clear_cache
+from repro.core.aggregates import MergeGroup
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
 from repro.core.trendwise import compare_trendwise
 from repro.plan.cost import TableStats, compare_plan_cost, side_plan_cost
@@ -133,7 +133,6 @@ class TestAlgorithm1:
         groups = merge_partition(spec, stats)
         out = compare_trendwise(flight_df, spec, groups=groups)
         check_against_oracle(out, spec, flight_df)
-        clear_cache()
 
     def test_stats_over_constraint_and_grouping_columns_pick_same_groups(self, flight_df):
         from repro.core.compare import _optimizer_groups

@@ -3,7 +3,6 @@ precondition, refuse otherwise, and preserve results when lowered."""
 import pandas as pd
 import pytest
 
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, topk_exact
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 from repro.plan import (
@@ -28,12 +27,6 @@ from .spec_catalog import CATALOG
 
 def ts(*terms):
     return TrendsetSpec(tuple(ConstraintTerm(*t) for t in terms))
-
-
-@pytest.fixture(autouse=True)
-def _release_persisted():
-    yield
-    clear_cache()
 
 
 @pytest.fixture()

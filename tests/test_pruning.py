@@ -6,19 +6,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.pairs import output_schema
 from repro.core.pruning import PruneStats, compare_topk_pruned, sturges
 from repro.core.spec import Scorer
 
 from .spec_catalog import CATALOG, fixture_for
-
-
-@pytest.fixture(autouse=True)
-def _release_persisted():
-    yield
-    clear_cache()
 
 
 def _exact_topk_scores(df, spec, k, ascending):

@@ -5,16 +5,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, topk_exact
 from repro.core.pruning import compare_topk_pruned
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
-
-
-@pytest.fixture(autouse=True)
-def _release():
-    yield
-    clear_cache()
 
 
 def _gen(spark, seed, n_trends=8, n_keys=26, n_rows=3000):

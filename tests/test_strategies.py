@@ -7,21 +7,15 @@ path Algorithm 1 can choose).
 """
 import pytest
 
-from repro.core.aggregates import MergeGroup, clear_cache
+from repro.core.aggregates import MergeGroup
 from repro.core.compare import compare
-from repro.core.basic import compare_with_groups
+from repro.core.basic import compare_merged
 from repro.core.trendwise import compare_trendwise
 
 from .conftest import check_against_oracle
 from .spec_catalog import CATALOG, fixture_for
 
 STRATEGIES = ("basic", "merged", "trendwise", "optimized")
-
-
-@pytest.fixture(autouse=True)
-def _release_persisted():
-    yield
-    clear_cache()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -39,7 +33,7 @@ def test_cross_grouping_merge_matches_oracle(request, name):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     groups = [MergeGroup(spec.gms)]
-    out = compare_with_groups(df, spec, groups, share_sides=True, persist=True)
+    out = compare_merged(df, spec, groups)
     check_against_oracle(out, spec, df)
 
 
@@ -48,13 +42,6 @@ def test_trendwise_with_cross_grouping_merge(request, name):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     out = compare_trendwise(df, spec, groups=[MergeGroup(spec.gms)])
-    check_against_oracle(out, spec, df)
-
-
-def test_share_sides_off_still_exact(request):
-    dataset, spec = CATALOG["q1"]
-    df = request.getfixturevalue(fixture_for(dataset))
-    out = compare_trendwise(df, spec, share_sides=False)
     check_against_oracle(out, spec, df)
 
 

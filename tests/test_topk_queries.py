@@ -4,18 +4,11 @@ verbose top-k SQL."""
 import duckdb
 import pytest
 
-from repro.core.aggregates import clear_cache
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.sql_gen import topk_sql
 from repro.core.topk import topk_tuples
 
 from .spec_catalog import CATALOG, fixture_for
-
-
-@pytest.fixture(autouse=True)
-def _release_persisted():
-    yield
-    clear_cache()
 
 
 def _oracle_topk(df, spec, k, ascending):
