@@ -13,10 +13,11 @@ for the Fig. 9b ablation).
 """
 from __future__ import annotations
 
-import uuid
+import itertools
 from functools import partial, reduce
 from typing import Callable
 
+from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -28,14 +29,26 @@ from .sql_gen import verbose_sql
 
 
 def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
-    """``spark.sql(render(view))`` with ``df`` registered as the temp view ``view``."""
-    view = "R_" + uuid.uuid4().hex[:8]
-    # The view stays registered: dropping a temp view over a cached
-    # DataFrame uncaches that DataFrame (as does ``spark.sql(text, R=df)``,
-    # which drops its own views afterwards), so cleaning up would uncache
-    # the caller's input.
-    df.createOrReplaceTempView(view)
-    return df.sparkSession.sql(render(view))
+    """``spark.sql(render(view))`` with ``df`` registered as the temp view ``view``.
+
+    One view serves every call on the same input plan: it is named from
+    ``df.semanticHash()`` and reused when it holds ``df``'s plan, so a
+    session keeps one catalog entry per input, not one per query. A view
+    is never replaced or dropped: doing so over a cached DataFrame
+    uncaches that DataFrame (as does ``spark.sql(text, R=df)``, which drops
+    its own views afterwards), so it would uncache the caller's input.
+    """
+    spark = df.sparkSession
+    base = view = f"R_{df.semanticHash() & 0xFFFFFFFF:08x}"
+    for i in itertools.count(1):
+        if not spark.catalog.tableExists(view):
+            try:
+                df.createTempView(view)
+            except AnalysisException:  # a concurrent call registered it first
+                pass
+        if spark.table(view).sameSemantics(df):
+            return spark.sql(render(view))
+        view = f"{base}_{i}"  # another plan with the same hash holds this name
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:

@@ -14,7 +14,11 @@ Top-k-only strategies (``compare_topk``):
 * ``compare`` — the full system: Φp pruning + early termination,
   Algorithm-1 merge groups (the paper's COMPARE configuration). Φp's
   bounds need a SUM/AVG scorer; a MIN/MAX scorer falls back to the exact
-  trendwise comparison over the same groups.
+  top-k over the same groups.
+
+Under ``compare_topk``, ``trendwise`` and ``optimized`` score their pairs
+on the driver (:func:`~repro.core.exact.compare_topk_exact`) instead of
+sorting the lazy Spark output.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from pyspark.sql import functions as F
 
 from .aggregates import persisted
 from .basic import compare_basic, compare_merged
+from .exact import compare_topk_exact
 from .pairs import local_frame
 from .pruning import compare_topk_pruned
 from .spec import CompareSpec
@@ -82,8 +87,13 @@ def compare_topk(
     fds: dict[str, str] | None = None,
     **phi_kwargs,
 ) -> DataFrame:
-    """Top-k comparative query (§3.2), via exact sort or the Φp operator,
-    computed inside the call's ``persisted()`` scope as a local relation."""
+    """Top-k comparative query (§3.2), via an exact top-k or the Φp operator,
+    computed inside the call's ``persisted()`` scope as a local relation.
+
+    ``trendwise``/``optimized`` (and ``compare`` under a MIN/MAX scorer)
+    score every candidate pair on the driver (:mod:`repro.core.exact`);
+    ``basic``/``merged`` sort their lazy ``compare()`` output.
+    """
     with persisted():
         if strategy == "pruned":
             return compare_topk_pruned(
@@ -98,10 +108,11 @@ def compare_topk(
                     df, spec, k, ascending=ascending, early_termination=True,
                     groups=groups, **phi_kwargs,
                 )
-            scores = compare_trendwise(df, spec, groups=groups)
-        elif strategy in EXACT_STRATEGIES:
-            scores = compare(df, spec, strategy, fds=fds)
-        else:
+            return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
+        if strategy in ("trendwise", "optimized"):
+            groups = _optimizer_groups(df, spec, fds) if strategy == "optimized" else None
+            return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
+        if strategy not in EXACT_STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; pick one of {TOPK_STRATEGIES}")
-        top = topk_exact(scores, k, ascending)
+        top = topk_exact(compare(df, spec, strategy, fds=fds), k, ascending)
         return local_frame(df.sparkSession, top.collect(), top.schema)

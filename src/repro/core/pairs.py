@@ -8,6 +8,7 @@ merged, trendwise and pruned plans all emit identical output relations.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -93,6 +94,38 @@ def candidate_pairs(
     else:
         keep = np.ones((len(c1), len(c2)), dtype=bool)
     return np.nonzero(keep)
+
+
+def trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | None = None):
+    """Trend ids (sorted vary-value tuples, unless given) and each row's index into them."""
+    if not vary:
+        return ([()] if len(pdf) else []), np.zeros(len(pdf), dtype=np.int64)
+    rows = pd.MultiIndex.from_frame(pdf[list(vary)])
+    if tids is None:
+        tids = sorted(rows.unique())
+    if not tids:
+        return tids, np.zeros(0, dtype=np.int64)
+    return tids, pd.MultiIndex.from_tuples(tids).get_indexer(rows)
+
+
+def identity_keys(spec: CompareSpec, parts: list) -> list[np.ndarray]:
+    """``np.lexsort`` keys ordering pair rows by output identity (l_ trend,
+    r_ trend, grouping, measure): the tie order of ``topk_exact``.
+
+    ``parts`` are ``(gi, tids1, ia, tids2, ib)``: the rows
+    ``(tids1[ia[j]], tids2[ib[j]])`` of (g, m) ``spec.gms[gi]``; the keys
+    cover their concatenation, least significant first.
+    """
+    rank1 = {t: r for r, t in enumerate(sorted({t for _, t1, _, _, _ in parts for t in t1}))}
+    rank2 = {t: r for r, t in enumerate(sorted({t for _, _, _, t2, _ in parts for t in t2}))}
+    by_name = sorted(range(len(spec.gms)), key=lambda j: (spec.gms[j][0], spec.gms[j][1].name))
+    gm_rank = np.argsort(by_name)
+    keys = [[], [], []]
+    for gi, tids1, ia, tids2, ib in parts:
+        keys[0].append(np.full(len(ia), gm_rank[gi]))
+        keys[1].append(np.array([rank2[t] for t in tids2], dtype=np.int64)[ib])
+        keys[2].append(np.array([rank1[t] for t in tids1], dtype=np.int64)[ia])
+    return [np.concatenate(k) for k in keys]
 
 
 def pair_key_cols(spec: CompareSpec) -> list[str]:

@@ -41,27 +41,28 @@ Spark-computed summaries — see DESIGN.md §2 for the layering argument.
 The Spark actions of one call are a domain ``collect`` per grouping
 column, then a summary per block side, then a survivor fetch per block
 side; the actions of each phase are independent and run concurrently
-(:func:`_run_concurrently`). The top-k result is a local relation, so
-collecting it runs no Spark job.
+(:func:`~repro.core.aggregates.run_concurrently`). The top-k result is a
+local relation, so collecting it runs no Spark job.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
-from pyspark.util import inheritable_thread_target
 
 from .aggregates import (
-    G_COL, MergeGroup, VectorBlock, build_vector_blocks, persisted, same_grouping_groups,
+    G_COL, MergeGroup, VectorBlock, build_vector_blocks, per_block_side, persisted,
+    run_concurrently, same_grouping_groups,
 )
-from .pairs import candidate_pairs, local_frame, output_rows, output_schema, py_scalar
+from .pairs import (
+    candidate_pairs, identity_keys, local_frame, output_rows, output_schema, py_scalar, trend_rows,
+)
 from .scorer import diff_np, score_from_sum
 from .spec import CompareSpec
 
@@ -139,40 +140,6 @@ class SegAgg:
     edges: np.ndarray  # Segmentation.edges
 
 
-def _run_concurrently(spark: SparkSession, actions: list) -> list:
-    """Results of independent Spark actions (zero-argument callables), in
-    ``actions`` order; two or more run on one thread each.
-
-    Each thread inherits the caller's local properties (its job group,
-    scheduler pool), so its jobs are attributed as the caller's own.
-    """
-    if len(actions) < 2:
-        return [a() for a in actions]
-    with ThreadPoolExecutor(len(actions)) as pool:
-        futures = [pool.submit(inheritable_thread_target(spark)(a)) for a in actions]
-        return [f.result() for f in futures]
-
-
-def _per_block_side(spark: SparkSession, spec: CompareSpec, blocks: list[VectorBlock], action):
-    """``(result1, result2)`` per block of ``action(b, rel, vary, side)``
-    over block ``b``'s side relations (side 0 is T1's, 1 is T2's).
-
-    Every block side's action runs concurrently; a shared block runs
-    T2's only and uses it for both sides.
-    """
-    calls = []
-    for b, blk in enumerate(blocks):
-        calls.append(partial(action, b, blk.rel2, spec.t2.vary_cols, 1))
-        if not blk.shared:
-            calls.append(partial(action, b, blk.rel1, spec.t1.vary_cols, 0))
-    results = iter(_run_concurrently(spark, calls))
-    out = []
-    for blk in blocks:
-        r2 = next(results)
-        out.append((r2 if blk.shared else next(results), r2))
-    return out
-
-
 def _domain(blk: VectorBlock) -> list:
     """Sorted distinct grouping values of both sides of a block (one action)."""
     dom = blk.rel2.select(G_COL)
@@ -191,7 +158,7 @@ def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str
     for blk in blocks:
         first.setdefault(blk.g, blk)
     spark = blocks[0].rel2.sparkSession if blocks else None
-    domains = _run_concurrently(spark, [partial(_domain, blk) for blk in first.values()])
+    domains = run_concurrently(spark, [partial(_domain, blk) for blk in first.values()])
     out: dict[str, Segmentation] = {}
     for g, gvals in zip(first, domains):
         nd = len(gvals)
@@ -200,18 +167,6 @@ def segmentations(blocks: list[VectorBlock], n_segments: int | None) -> dict[str
         seg_of = (np.arange(nd, dtype=np.int64) * l) // max(nd, 1)
         out[g] = Segmentation(gvals, np.searchsorted(seg_of, np.arange(l + 1)))
     return out
-
-
-def _trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | None = None):
-    """Trend ids (sorted vary-value tuples, unless given) and each row's index into them."""
-    if not vary:
-        return ([()] if len(pdf) else []), np.zeros(len(pdf), dtype=np.int64)
-    rows = pd.MultiIndex.from_frame(pdf[list(vary)])
-    if tids is None:
-        tids = sorted(rows.unique())
-    if not tids:
-        return tids, np.zeros(0, dtype=np.int64)
-    return tids, pd.MultiIndex.from_tuples(tids).get_indexer(rows)
 
 
 def summarize(
@@ -236,7 +191,7 @@ def summarize(
             .agg(*(c.alias(name) for name, c in aggs.items()))
             .toPandas()
         )
-    tids, ti = _trend_rows(pdf, vary)
+    tids, ti = trend_rows(pdf, vary)
     b = pdf["__b"].to_numpy(dtype=np.int64)
     cnt = np.zeros((len(tids), l), dtype=np.int64)
     cnt[ti, b] = pdf["__cnt"].to_numpy(dtype=np.int64)
@@ -403,28 +358,24 @@ def _bound_all(spec: CompareSpec, sides: list):
     """TState columns ``(gm, ia, ib, matched, lb, ub)`` of every candidate
     pair with matches, rows sorted by output identity (l_ trend, r_ trend,
     grouping, measure) — the tie order of ``topk_exact``."""
-    rank1 = {t: r for r, t in enumerate(sorted({t for (t1, _), _ in sides for t in t1}))}
-    rank2 = {t: r for r, t in enumerate(sorted({t for _, (t2, _) in sides for t in t2}))}
-    by_name = sorted(range(len(spec.gms)), key=lambda j: (spec.gms[j][0], spec.gms[j][1].name))
-    gm_rank = np.argsort(by_name)
-    parts = []
+    parts, bounds = [], []
     for gi, ((tids1, aggs1), (tids2, aggs2)) in enumerate(sides):
         gm = spec.gms[gi]
         ia, ib = candidate_pairs(spec, tids1, tids2)
         matched, lb, ub = bound_pairs(aggs1[gm], aggs2[gm], ia, ib, spec.scorer.p)
         keep = matched.sum(axis=1) > 0  # no matching grouping values: no score (Def. 7)
-        ia, ib = ia[keep], ib[keep]
-        key1 = np.array([rank1[t] for t in tids1], dtype=np.int64)[ia]
-        key2 = np.array([rank2[t] for t in tids2], dtype=np.int64)[ib]
-        parts.append((np.full(len(ia), gi), ia, ib, key1, key2, matched[keep], lb[keep], ub[keep]))
-    gm, ia, ib, key1, key2 = (np.concatenate(c) for c in list(zip(*parts))[:5])
+        parts.append((gi, tids1, ia[keep], tids2, ib[keep]))
+        bounds.append((matched[keep], lb[keep], ub[keep]))
+    gm = np.concatenate([np.full(len(ia), gi) for gi, _, ia, _, _ in parts])
+    ia = np.concatenate([ia for _, _, ia, _, _ in parts])
+    ib = np.concatenate([ib for _, _, _, _, ib in parts])
     # groupings with fewer segments are padded with empty ones
-    n_seg = max(part[5].shape[1] for part in parts)
+    n_seg = max(m.shape[1] for m, _, _ in bounds)
     matched, lb, ub = (
         np.concatenate([np.pad(a, ((0, 0), (0, n_seg - a.shape[1]))) for a in c])
-        for c in list(zip(*parts))[5:]
+        for c in zip(*bounds)
     )
-    order = np.lexsort((gm_rank[gm], key2, key1))
+    order = np.lexsort(identity_keys(spec, parts))
     return gm[order], ia[order], ib[order], matched[order], lb[order], ub[order]
 
 
@@ -451,7 +402,7 @@ def _fetch_values(
     if len(rows) < len(tids):
         rel = rel.where(_trend_filter(vary, [tids[r] for r in rows]))
     pdf = rel.toPandas()
-    _, ti = _trend_rows(pdf, vary, tids)
+    _, ti = trend_rows(pdf, vary, tids)
     gi = seg.key_index(pdf[G_COL])
     hit = (ti >= 0) & (gi >= 0)  # a row outside the summarized trends or the domain fills nothing
     for gm, vc in blk.value_cols.items():
@@ -492,7 +443,7 @@ def compare_topk_pruned(
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
 
     # ---- Summarize: one groupBy per block side ----------------------------
-    summaries = _per_block_side(
+    summaries = per_block_side(
         spark, spec, blocks,
         lambda b, rel, vary, _: summarize(rel, vary, blocks[b], segs[blocks[b].g]),
     )
@@ -520,7 +471,7 @@ def compare_topk_pruned(
         in_blk = alive & np.isin(phi.gm, [gm_index[gm] for gm in blk.value_cols])
         rows1, rows2 = np.unique(phi.ia[in_blk]), np.unique(phi.ib[in_blk])
         survivors.append((rows1, np.union1d(rows1, rows2) if blk.shared else rows2))
-    fetched = _per_block_side(
+    fetched = per_block_side(
         spark, spec, blocks,
         lambda b, rel, vary, side: _fetch_values(
             rel, vary, blocks[b], segs[blocks[b].g], summaries[b][side][0], survivors[b][side]

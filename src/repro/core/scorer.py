@@ -7,6 +7,7 @@ driver-side Algorithm 2).
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
@@ -37,6 +38,58 @@ def score_np(scorer: Scorer, v1: np.ndarray, v2: np.ndarray) -> float:
     d = diff_np(v1, v2, scorer.p)
     fn = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}[scorer.agg]
     return float(fn(d))
+
+
+#: floats in one temporary of :func:`score_pairs`; a slice holds this many
+#: (pair, grouping value) cells, so its working set stays a few hundred KB
+SLICE_FLOATS = 1 << 14
+
+
+def dense(n_rows: int, domain: pd.Index, row: np.ndarray, keys, values: list):
+    """Long ``(row, key, value…)`` entries as a (rows × domain) key mask plus
+    one value array per entry of ``values`` (NaN where a row lacks the key).
+
+    A key outside ``domain`` (a NULL grouping value included) sets nothing,
+    so it matches no key, as in the equi-join.
+    """
+    gi = domain.get_indexer(keys)
+    hit = gi >= 0
+    row, gi = row[hit], gi[hit]
+    mask = np.zeros((n_rows, len(domain)), dtype=bool)
+    mask[row, gi] = True
+    out = []
+    for v in values:
+        a = np.full(mask.shape, np.nan)
+        a[row, gi] = np.asarray(v, dtype=np.float64)[hit]
+        out.append(a)
+    return mask, out
+
+
+def score_pairs(scorer: Scorer, m1: np.ndarray, m2: np.ndarray, values: list, ia, ib) -> np.ndarray:
+    """Scores of the pairs ``(ia[j], ib[j])``, one column per ``(v1, v2)`` of ``values``.
+
+    ``m1``/``m2`` are (trends × domain) key masks of the two sides and each
+    ``v1``/``v2`` the matching value arrays (:func:`dense`). A pair's DIFF
+    runs over the keys both trends hold (Def. 7); its score is NaN when no
+    key matches or a matched value is NaN. Pairs are scored in slices of
+    :data:`SLICE_FLOATS` cells, the key match of a slice shared by every
+    measure.
+    """
+    out = np.full((len(ia), len(values)), np.nan)
+    step = max(1, SLICE_FLOATS // max(1, m1.shape[1]))
+    fill = {"SUM": 0.0, "AVG": 0.0, "MIN": np.inf, "MAX": -np.inf}[scorer.agg]
+    fn = {"SUM": np.sum, "AVG": np.sum, "MIN": np.min, "MAX": np.max}[scorer.agg]
+    for lo in range(0, len(ia), step):
+        a, b = ia[lo:lo + step], ib[lo:lo + step]
+        match = m1[a] & m2[b]
+        cnt = match.sum(axis=1)
+        has = cnt > 0
+        for j, (v1, v2) in enumerate(values):
+            s = fn(np.where(match, diff_np(v1[a], v2[b], scorer.p), fill), axis=1)
+            if scorer.agg == "AVG":
+                s = s / np.maximum(cnt, 1)
+            out[lo:lo + step, j] = np.where(has, s, np.nan)
+    return out
 
 
 def align(k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray):

@@ -32,7 +32,7 @@ from .aggregates import (
     build_vector_blocks,
 )
 from .pairs import pair_condition, pair_key_cols, rename_side, with_fixed_literals
-from .scorer import score_np
+from .scorer import dense, score_pairs
 from .spec import CompareSpec, Scorer, output_cols
 
 KEYS1, KEYS2 = "__k1", "__k2"
@@ -56,33 +56,32 @@ def block_trend_vectors(
 def _make_block_scorer(scorer: Scorer, block_gms, value_names, out_fields: list[str]):
     """Pandas kernel scoring every (g, m) of a block for each pair row.
 
-    The key alignment (the DIFF join on grouping values, Def. 7) is
-    computed once per pair and reused for every measure of the block.
+    Each Arrow batch of pair rows becomes dense (rows × grouping values)
+    key masks and value arrays over the batch's grouping values; one
+    :func:`~repro.core.scorer.score_pairs` call scores every row and
+    measure, the key alignment (the DIFF join on grouping values, Def. 7)
+    shared by the measures of the block.
     """
     gm_labels = [(g, m.name) for g, m in block_gms]
+    key_cols = [c for c in out_fields if c not in ("grouping", "measure", "score")]
+
+    def side(pdf: pd.DataFrame, keys: str, prefix: str, domain: pd.Index):
+        row = np.repeat(np.arange(len(pdf)), pdf[keys].map(len).to_numpy())
+        return dense(
+            len(pdf), domain, row, np.concatenate(pdf[keys].to_numpy()),
+            [np.concatenate(pdf[prefix + vc].to_numpy()) for vc in value_names],
+        )
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             if pdf.empty:
                 continue
-            n = len(pdf)
-            k1s, k2s = pdf[KEYS1].to_numpy(), pdf[KEYS2].to_numpy()
-            v1s = [pdf["__l" + vc].to_numpy() for vc in value_names]
-            v2s = [pdf["__r" + vc].to_numpy() for vc in value_names]
-            scores = np.full((n, len(value_names)), np.nan)
-            for i in range(n):
-                _, i1, i2 = np.intersect1d(
-                    np.asarray(k1s[i]), np.asarray(k2s[i]), assume_unique=True, return_indices=True
-                )
-                if i1.size == 0:
-                    continue
-                for j in range(len(value_names)):
-                    scores[i, j] = score_np(
-                        scorer,
-                        np.asarray(v1s[j][i], dtype=np.float64)[i1],
-                        np.asarray(v2s[j][i], dtype=np.float64)[i2],
-                    )
-            key_cols = [c for c in out_fields if c not in ("grouping", "measure", "score")]
+            keys = np.concatenate([*pdf[KEYS1].to_numpy(), *pdf[KEYS2].to_numpy()])
+            domain = pd.Index(pd.unique(keys)).dropna()
+            m1, v1 = side(pdf, KEYS1, "__l", domain)
+            m2, v2 = side(pdf, KEYS2, "__r", domain)
+            rows = np.arange(len(pdf))
+            scores = score_pairs(scorer, m1, m2, list(zip(v1, v2)), rows, rows)
             outs = []
             for j, (g, mname) in enumerate(gm_labels):
                 out = pdf[key_cols].copy()

@@ -70,13 +70,17 @@ def test_naive_sql_topk_matches_compare_topk(request, flight_df):
     assert sorted(a["score"].round(6)) == pytest.approx(sorted(b["score"].round(6)))
 
 
-def test_verbose_sql_keeps_callers_input_cached(flight_df):
-    """The verbose-SQL paths register a temp view over the input and keep
-    it: dropping the view would uncache the caller's cached DataFrame."""
+def test_verbose_sql_keeps_callers_input_cached(spark, flight_df):
+    """The verbose-SQL paths register one temp view per input plan and keep
+    it: dropping or replacing the view would uncache the caller's cached
+    DataFrame, and a view per call would grow the catalog per query."""
     _, spec = CATALOG["q2"]
     assert flight_df.storageLevel.useMemory
-    compare(flight_df, spec, "basic").collect()
-    compare_topk_naive_sql(flight_df, spec, 3, True).collect()
+    before = len(spark.catalog.listTables())
+    for _ in range(3):
+        compare(flight_df, spec, "basic").collect()
+        compare_topk_naive_sql(flight_df, spec, 3, True).collect()
+    assert len(spark.catalog.listTables()) - before <= 1
     assert flight_df.storageLevel.useMemory
 
 

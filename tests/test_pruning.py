@@ -343,8 +343,8 @@ class TestTies:
         ts = TrendsetSpec((ConstraintTerm("city"),))
         spec = CompareSpec(ts, ts, (("week", Measure("AVG", "revenue")),), Scorer("SUM", p))
         picks = {}
-        for strategy in ("compare", "pruned", "trendwise"):
+        for strategy in ("compare", "pruned", "trendwise", "optimized"):
             rows = compare_topk(dup_df, spec, k, ascending=ascending, strategy=strategy).collect()
             picks[strategy] = [(r["l_city"], r["r_city"], round(r["score"], 6)) for r in rows]
-        assert picks["compare"] == picks["pruned"] == picks["trendwise"]
+        assert picks["compare"] == picks["pruned"] == picks["trendwise"] == picks["optimized"]
         assert len(picks["compare"]) == k

@@ -2,11 +2,15 @@
 import math
 
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scorer import align, diff_np, score_from_sum, score_np, score_pair
+from repro.core import scorer
+from repro.core.scorer import (
+    align, dense, diff_np, score_from_sum, score_np, score_pair, score_pairs,
+)
 from repro.core.spec import Scorer
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -94,6 +98,45 @@ class TestAlign:
             Scorer("SUM", 2), np.array(["a", "b"]), [1.0, 2.0], np.array(["b", "c"]), [5.0, 6.0]
         )
         assert s == pytest.approx(9.0)
+
+
+class TestScorePairs:
+    """The masked (pairs × domain) kernel against align + score_np per pair."""
+
+    @pytest.mark.parametrize("agg", ["SUM", "AVG", "MIN", "MAX"])
+    @pytest.mark.parametrize("slice_floats", [1, 7, 1 << 14])
+    def test_matches_per_pair_alignment(self, monkeypatch, agg, slice_floats):
+        monkeypatch.setattr(scorer, "SLICE_FLOATS", slice_floats)
+        rng = np.random.default_rng(3)
+        n1, n2, nd = 5, 6, 9
+        m1, m2 = rng.random((n1, nd)) < 0.6, rng.random((n2, nd)) < 0.6
+        v1, v2 = rng.normal(size=(n1, nd)), rng.normal(size=(n2, nd))
+        nan_key = np.flatnonzero(m1[1])[0]
+        v1[1, nan_key] = np.nan  # a matched NaN measure poisons its pairs
+        m2[:, nan_key] = True
+        m2[0] = False  # a trend with no key
+        ia, ib = np.nonzero(np.ones((n1, n2), dtype=bool))
+        sc = Scorer(agg, 2)
+        got = score_pairs(sc, m1, m2, [(v1, v2), (2 * v1, v2)], ia, ib)
+        for j, (a, b) in enumerate(zip(ia, ib)):
+            for col, w1 in enumerate((v1, 2 * v1)):
+                keys = np.arange(nd)
+                exp = score_pair(sc, keys[m1[a]], w1[a][m1[a]], keys[m2[b]], v2[b][m2[b]])
+                if math.isnan(exp):
+                    assert math.isnan(got[j, col])
+                elif agg in ("MIN", "MAX"):
+                    assert got[j, col] == exp
+                else:
+                    assert got[j, col] == pytest.approx(exp, rel=1e-12)
+        assert np.isnan(got[ib == 0]).all() and np.isnan(got[ia == 1]).all()
+
+    def test_dense_drops_keys_outside_the_domain(self):
+        domain = pd.Index([1, 2, 3])
+        row = np.array([0, 0, 1, 1])
+        keys = pd.Series([1, None, 3, 4], dtype="Int64")
+        mask, (vals,) = dense(2, domain, row, keys, [np.array([1.0, 2.0, 3.0, 4.0])])
+        assert mask.tolist() == [[True, False, False], [False, False, True]]
+        assert vals[0, 0] == 1.0 and vals[1, 2] == 3.0 and np.isnan(vals[0, 1])
 
 
 class TestScoreFromSum:
