@@ -21,8 +21,9 @@ The per-(g, m) plans (the merged join, the UDF and middleware
 baselines) read each (g, m) as the projection ``(vary…, __g, __v)`` of
 its block (:func:`gm_relations`).
 
-Inside a :func:`persisted` scope the merged partials and the blocks are
-persisted (Spark does not share work between the re-aggregates, nor
+Inside a :func:`persisted` scope the merged partials and (through
+:func:`build_vector_blocks`, not :func:`plan_vector_blocks`) the blocks
+are persisted (Spark does not share work between the re-aggregates, nor
 between the actions that read a block, otherwise) and leaving the scope
 unpersists them; outside one the blocks are plain lazy plans.
 """
@@ -198,10 +199,13 @@ def _block_rels_for_side(df: DataFrame, ts: TrendsetSpec, groups: list[MergeGrou
     return out
 
 
-def build_vector_blocks(
+def plan_vector_blocks(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
-    """Block relations for both sides (T1 reuses T2's when possible)."""
+    """Block relations for both sides (T1 reuses T2's when possible), for a
+    caller that reads each block side once: inside a :func:`persisted`
+    scope only the merged partials, which every re-aggregate reads, are
+    persisted."""
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     side2 = _block_rels_for_side(df, spec.t2, groups)
     slice_f = slice_filters(spec)
@@ -217,15 +221,24 @@ def build_vector_blocks(
             side1[key] = (derived, cols)
     else:
         side1 = _block_rels_for_side(df, spec.t1, groups)
-    blocks = []
-    for key, (rel2, cols) in side2.items():
-        rel1 = side1[key][0]
-        _persist(rel2)
-        if rel1 is not rel2:
-            _persist(rel1)
-        blocks.append(
-            VectorBlock(g=key[1], value_cols=cols, rel1=rel1, rel2=rel2, shared=rel1 is rel2)
-        )
+    return [
+        VectorBlock(g=key[1], value_cols=cols, rel1=side1[key][0], rel2=rel2,
+                    shared=side1[key][0] is rel2)
+        for key, (rel2, cols) in side2.items()
+    ]
+
+
+def build_vector_blocks(
+    df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
+) -> list[VectorBlock]:
+    """:func:`plan_vector_blocks`, the block relations persisted in the open
+    scope too: for a caller that reads a block more than once (Φp reads
+    each side twice, :func:`gm_relations` once per (g, m))."""
+    blocks = plan_vector_blocks(df, spec, groups)
+    for blk in blocks:
+        _persist(blk.rel2)
+        if not blk.shared:
+            _persist(blk.rel1)
     return blocks
 
 

@@ -13,7 +13,7 @@ for the Fig. 9b ablation).
 """
 from __future__ import annotations
 
-import itertools
+import uuid
 from functools import partial, reduce
 from typing import Callable
 
@@ -28,27 +28,39 @@ from .spec import CompareSpec, output_cols
 from .sql_gen import verbose_sql
 
 
+#: name suffixes tried for an input plan before falling back to a per-call view
+_VIEW_PROBES = 8
+
+
 def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
     """``spark.sql(render(view))`` with ``df`` registered as the temp view ``view``.
 
-    One view serves every call on the same input plan: it is named from
-    ``df.semanticHash()`` and reused when it holds ``df``'s plan, so a
-    session keeps one catalog entry per input, not one per query. A view
-    is never replaced or dropped: doing so over a cached DataFrame
-    uncaches that DataFrame (as does ``spark.sql(text, R=df)``, which drops
-    its own views afterwards), so it would uncache the caller's input.
+    One view serves every call on the same input: it is named from
+    ``df.semanticHash()`` and reused when it holds ``df``'s plan *and*
+    ``df``'s schema. The schema check matters: the semantic comparison
+    works on canonicalized plans, which drop column names, so two inputs
+    that differ only by aliases are "the same" plan. A session thus keeps
+    one catalog entry per input, not one per query. A view is never
+    replaced or dropped: doing so over a cached DataFrame uncaches that
+    DataFrame (as does ``spark.sql(text, R=df)``, which drops its own
+    views afterwards), so it would uncache the caller's input.
     """
     spark = df.sparkSession
-    base = view = f"R_{df.semanticHash() & 0xFFFFFFFF:08x}"
-    for i in itertools.count(1):
+    base = f"R_{df.semanticHash() & 0xFFFFFFFF:08x}"
+    for i in range(_VIEW_PROBES):
+        view = f"{base}_{i}" if i else base
         if not spark.catalog.tableExists(view):
             try:
                 df.createTempView(view)
             except AnalysisException:  # a concurrent call registered it first
                 pass
-        if spark.table(view).sameSemantics(df):
+        held = spark.table(view)
+        if held.schema == df.schema and held.sameSemantics(df):
             return spark.sql(render(view))
-        view = f"{base}_{i}"  # another plan with the same hash holds this name
+    # every probed name holds another input: register a view for this call
+    view = "R_" + uuid.uuid4().hex
+    df.createTempView(view)
+    return spark.sql(render(view))
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from .aggregates import G_COL, MergeGroup, build_vector_blocks, per_block_side
+from .aggregates import G_COL, MergeGroup, per_block_side, plan_vector_blocks
 from .pairs import (
     candidate_pairs, identity_keys, local_frame, output_rows, output_schema, trend_rows,
 )
@@ -55,11 +55,12 @@ def compare_topk_exact(
 ) -> DataFrame:
     """The exact top-k pairs (ties broken by output identity) as a local relation.
 
-    Runs one Spark action per block side (a shared block: one), inside the
-    caller's ``persisted()`` scope when there is one.
+    Runs one Spark action per block side (a shared block: one). Each block
+    side is read once, so inside the caller's ``persisted()`` scope only
+    the merged partials that several block sides read are persisted.
     """
     spark = df.sparkSession
-    blocks = build_vector_blocks(df, spec, groups)
+    blocks = plan_vector_blocks(df, spec, groups)
     fetched = per_block_side(spark, spec, blocks, lambda _b, rel, _vary, _side: _fetch(rel))
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
     parts, scores = [], []

@@ -74,38 +74,74 @@ def _constraint_tuple(ts: TrendsetSpec, tid: tuple) -> tuple:
     return tuple(vals[c] for c in sorted(ts.cols))
 
 
+def _null_first(tid: tuple) -> tuple:
+    """Sort key ordering vary-value tuples as Spark's ascending sort does:
+    a NULL (None) before every value."""
+    return tuple((False, 0) if v is None else (True, v) for v in tid)
+
+
+#: SQL's three-valued logic as ints: AND is min, OR is max, NOT is ``TRUE - x``
+FALSE, NULL, TRUE = 0, 1, 2
+
+
+def _column_compare(v1: list, v2: list) -> tuple[np.ndarray, np.ndarray]:
+    """``a < b`` and ``a = b`` of one constraint column between every pair of
+    the two sides, as (len(v1) × len(v2)) truth values, NULL where either
+    value is None."""
+    rank = {v: i for i, v in enumerate(sorted({v for v in (*v1, *v2) if v is not None}))}
+    r1 = np.array([rank.get(v, -1) for v in v1], dtype=np.int64)[:, None]
+    r2 = np.array([rank.get(v, -1) for v in v2], dtype=np.int64)[None, :]
+    null = (r1 < 0) | (r2 < 0)
+    return np.where(null, NULL, TRUE * (r1 < r2)), np.where(null, NULL, TRUE * (r1 == r2))
+
+
 def candidate_pairs(
     spec: CompareSpec, t1_ids: list[tuple], t2_ids: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Driver-side :func:`pair_condition`: index arrays ``(ia, ib)`` into the
-    two sides' trend-id lists (vary-column tuples), row-major order.
+    two sides' trend-id lists (vary-column tuples, NULL as None), row-major
+    order.
 
     Trends compare by full constraint tuple, as in the Spark join:
-    ``dedup_symmetric`` keeps ``a < b``, ``exclude_equal`` drops ``a == b``.
+    ``dedup_symmetric`` keeps ``a < b``, ``exclude_equal`` drops ``a == b``;
+    both in three-valued logic, so a pair whose condition is NULL (a NULL
+    vary value decides it) is dropped, as the join drops it.
     """
+    if not (spec.dedup_symmetric or spec.exclude_equal):
+        return np.nonzero(np.ones((len(t1_ids), len(t2_ids)), dtype=bool))
     c1 = [_constraint_tuple(spec.t1, t) for t in t1_ids]
     c2 = [_constraint_tuple(spec.t2, t) for t in t2_ids]
-    if spec.dedup_symmetric or spec.exclude_equal:
-        # rank both sides' tuples in one order: tuple < and == become int ops
-        rank = {c: i for i, c in enumerate(sorted(set(c1) | set(c2)))}
-        r1 = np.fromiter((rank[c] for c in c1), np.int64, len(c1))[:, None]
-        r2 = np.fromiter((rank[c] for c in c2), np.int64, len(c2))[None, :]
-        keep = r1 < r2 if spec.dedup_symmetric else r1 != r2
+    lt, eq = zip(*(
+        _column_compare([c[p] for c in c1], [c[p] for c in c2]) for p in range(len(spec.t1.cols))
+    ))
+    if spec.dedup_symmetric:  # cf. _lex_lt
+        keep = lt[-1]
+        for x_lt, x_eq in zip(reversed(lt[:-1]), reversed(eq[:-1])):
+            keep = np.maximum(x_lt, np.minimum(x_eq, keep))
     else:
-        keep = np.ones((len(c1), len(c2)), dtype=bool)
-    return np.nonzero(keep)
+        keep = TRUE - np.minimum.reduce(eq)
+    return np.nonzero(keep == TRUE)
 
 
 def trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | None = None):
-    """Trend ids (sorted vary-value tuples, unless given) and each row's index into them."""
+    """Trend ids and each row's index into them (-1 for a trend not in ``tids``).
+
+    Unless given, the ids are the distinct vary-value tuples of ``pdf`` in
+    Spark's ascending order; a NULL (None or NaN in pandas) is a value of
+    its own, as in a group-by, and becomes None in the id.
+    """
     if not vary:
         return ([()] if len(pdf) else []), np.zeros(len(pdf), dtype=np.int64)
-    rows = pd.MultiIndex.from_frame(pdf[list(vary)])
+    codes = pdf.groupby(list(vary), dropna=False, sort=False).ngroup().to_numpy()
+    _, first = np.unique(codes, return_index=True)  # groups are numbered as first seen
+    found = [
+        tuple(None if pd.isna(v) else v for v in row)
+        for row in pdf[list(vary)].iloc[first].itertuples(index=False, name=None)
+    ]
     if tids is None:
-        tids = sorted(rows.unique())
-    if not tids:
-        return tids, np.zeros(0, dtype=np.int64)
-    return tids, pd.MultiIndex.from_tuples(tids).get_indexer(rows)
+        tids = sorted(found, key=_null_first)
+    pos = {t: i for i, t in enumerate(tids)}
+    return tids, np.array([pos.get(t, -1) for t in found], dtype=np.int64)[codes]
 
 
 def identity_keys(spec: CompareSpec, parts: list) -> list[np.ndarray]:
@@ -116,8 +152,9 @@ def identity_keys(spec: CompareSpec, parts: list) -> list[np.ndarray]:
     ``(tids1[ia[j]], tids2[ib[j]])`` of (g, m) ``spec.gms[gi]``; the keys
     cover their concatenation, least significant first.
     """
-    rank1 = {t: r for r, t in enumerate(sorted({t for _, t1, _, _, _ in parts for t in t1}))}
-    rank2 = {t: r for r, t in enumerate(sorted({t for _, _, _, t2, _ in parts for t in t2}))}
+    ids1 = sorted({t for _, t1, _, _, _ in parts for t in t1}, key=_null_first)
+    ids2 = sorted({t for _, _, _, t2, _ in parts for t in t2}, key=_null_first)
+    rank1, rank2 = ({t: r for r, t in enumerate(ids)} for ids in (ids1, ids2))
     by_name = sorted(range(len(spec.gms)), key=lambda j: (spec.gms[j][0], spec.gms[j][1].name))
     gm_rank = np.argsort(by_name)
     keys = [[], [], []]

@@ -32,7 +32,7 @@ from .aggregates import (
     build_vector_blocks,
 )
 from .pairs import pair_condition, pair_key_cols, rename_side, with_fixed_literals
-from .scorer import dense, score_pairs
+from .scorer import SLICE_FLOATS, dense, score_pairs
 from .spec import CompareSpec, Scorer, output_cols
 
 KEYS1, KEYS2 = "__k1", "__k2"
@@ -57,10 +57,11 @@ def _make_block_scorer(scorer: Scorer, block_gms, value_names, out_fields: list[
     """Pandas kernel scoring every (g, m) of a block for each pair row.
 
     Each Arrow batch of pair rows becomes dense (rows × grouping values)
-    key masks and value arrays over the batch's grouping values; one
-    :func:`~repro.core.scorer.score_pairs` call scores every row and
-    measure, the key alignment (the DIFF join on grouping values, Def. 7)
-    shared by the measures of the block.
+    key masks and value arrays over the batch's grouping values, built in
+    slices of rows that hold at most :data:`~repro.core.scorer.SLICE_FLOATS`
+    cells each; one :func:`~repro.core.scorer.score_pairs` call per slice
+    scores every row and measure, the key alignment (the DIFF join on
+    grouping values, Def. 7) shared by the measures of the block.
     """
     gm_labels = [(g, m.name) for g, m in block_gms]
     key_cols = [c for c in out_fields if c not in ("grouping", "measure", "score")]
@@ -72,16 +73,22 @@ def _make_block_scorer(scorer: Scorer, block_gms, value_names, out_fields: list[
             [np.concatenate(pdf[prefix + vc].to_numpy()) for vc in value_names],
         )
 
+    def score_rows(pdf: pd.DataFrame, domain: pd.Index) -> np.ndarray:
+        m1, v1 = side(pdf, KEYS1, "__l", domain)
+        m2, v2 = side(pdf, KEYS2, "__r", domain)
+        rows = np.arange(len(pdf))
+        return score_pairs(scorer, m1, m2, list(zip(v1, v2)), rows, rows)
+
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             if pdf.empty:
                 continue
             keys = np.concatenate([*pdf[KEYS1].to_numpy(), *pdf[KEYS2].to_numpy()])
             domain = pd.Index(pd.unique(keys)).dropna()
-            m1, v1 = side(pdf, KEYS1, "__l", domain)
-            m2, v2 = side(pdf, KEYS2, "__r", domain)
-            rows = np.arange(len(pdf))
-            scores = score_pairs(scorer, m1, m2, list(zip(v1, v2)), rows, rows)
+            step = max(1, SLICE_FLOATS // max(1, len(domain)))
+            scores = np.concatenate(
+                [score_rows(pdf.iloc[lo:lo + step], domain) for lo in range(0, len(pdf), step)]
+            )
             outs = []
             for j, (g, mname) in enumerate(gm_labels):
                 out = pdf[key_cols].copy()

@@ -84,6 +84,30 @@ def test_verbose_sql_keeps_callers_input_cached(spark, flight_df):
     assert flight_df.storageLevel.useMemory
 
 
+def test_verbose_sql_tells_inputs_apart_by_column_names(sales_df):
+    """Inputs that differ only by aliases have one canonical plan (and
+    semantic hash), but must not share a view: each call reads its own
+    columns, renamed or swapped."""
+    from pyspark.sql import functions as F
+
+    from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
+
+    def over(df, measure):
+        ts = TrendsetSpec((ConstraintTerm("region", "Asia"), ConstraintTerm("city")))
+        return CompareSpec(ts, ts, (("week", Measure("AVG", measure)),))
+
+    keys = [F.col("region"), F.col("city"), F.col("week")]
+    renamed = [sales_df.select(*keys, F.col("revenue").alias(a)) for a in ("x", "y")]
+    swapped = [
+        sales_df.select(*keys, F.col("revenue").alias(a), F.col("profit").alias(b))
+        for a, b in (("x", "y"), ("y", "x"))
+    ]
+    for df, measure in [(renamed[0], "x"), (renamed[1], "y"), (swapped[0], "x"), (swapped[1], "x")]:
+        spec = over(df, measure)
+        check_against_oracle(compare(df, spec, "basic"), spec, df)
+        check_against_oracle(compare_naive_sql(df, spec), spec, df)
+
+
 def test_middleware_reports_bytes(request, flight_df):
     _, spec = CATALOG["q1"]
     _, nbytes = compare_middleware(

@@ -90,6 +90,49 @@ def test_null_grouping_value_matches_nothing(null_week_df, agg):
                       verbose_sql(spec, "R", dialect="duckdb"), R=null_week_df)
 
 
+@pytest.fixture(scope="module")
+def null_city_df(spark):
+    """Sales-like rows where some trends have a NULL city or region."""
+    rows = []
+    for region, city, base in (("E", "a", 1), ("E", "b", 3), ("E", None, 6), ("W", "a", 2),
+                               ("W", None, 5), (None, "c", 4), (None, None, 7)):
+        for week in range(6):
+            rows.append((region, city, "p" if week % 2 else "q", week, float(base * week + week % 3)))
+    df = spark.createDataFrame(rows, "region string, city string, product string, week long, revenue double")
+    df = df.cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+def _ts(*terms):
+    return TrendsetSpec(tuple(ConstraintTerm(*t) for t in terms))
+
+
+NULL_VARY_SPECS = {
+    "all_all": (_ts(("city",)), _ts(("city",))),  # a < b
+    "slice_all": (_ts(("region", "E"), ("city",)), _ts(("region",), ("city",))),  # a != b
+    "two_cols": (_ts(("region",), ("city",)), _ts(("region",), ("city",))),  # lexicographic a < b
+    "cross": (_ts(("city",)), _ts(("product",))),  # every pair
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_VARY_SPECS))
+@pytest.mark.parametrize("agg", ["SUM", "MAX"])
+def test_null_vary_value_is_a_trend_compared_as_sql_does(null_city_df, name, agg):
+    """A NULL vary value is a trend of its own (as in a group-by); a pair
+    whose pair condition it makes NULL is dropped, as the join drops it;
+    ties order it first, as Spark's ascending sort does. ``compare`` runs
+    Φp under SUM and the exact top-k under MAX."""
+    t1, t2 = NULL_VARY_SPECS[name]
+    spec = CompareSpec(t1, t2, (("week", Measure("AVG", "revenue")),), Scorer(agg, 1))
+    exact = topk_exact(compare(null_city_df, spec, "trendwise"), ALL_PAIRS).collect()
+    for strategy in ("trendwise", "optimized", "compare"):
+        got = compare_topk(null_city_df, spec, ALL_PAIRS, strategy=strategy)
+        assert_equivalent(got, verbose_sql(spec, "R", dialect="duckdb"), R=null_city_df)
+        _assert_same_topk(got.collect(), exact, spec)
+
+
 def test_nan_measure_drops_its_pairs_on_both_paths(spark):
     """A pair whose matched values include a NaN (here an AVG over NULLs)
     gets no row, in the driver top-k and in the lazy mapInPandas plan alike;
@@ -116,21 +159,19 @@ def test_slice_size_does_not_change_results(request, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name,block_sides", [("q2", 1), ("q4", 2), ("q3", 4)])
-def test_one_job_per_block_side_and_local_result(request, spark, name, block_sides):
-    """With adaptive execution off a Spark action is one job (AQE adds a
-    map-stage job per shuffle and one to build a cached relation)."""
+def test_one_action_per_block_side_and_local_result(request, spark, name, block_sides):
+    """Each block side is one Spark action, persisted by nothing (a cache
+    would add a job to build it). Under adaptive execution, the session's
+    default, an action over a block's one shuffle is two jobs: the shuffle's
+    map stage, then the result."""
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     sc = spark.sparkContext
-    aqe = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    try:
-        with _job_group(sc, f"exact-call-{name}") as call_jobs:
-            out = compare_topk(df, spec, 3, strategy="trendwise")
-        with _job_group(sc, f"exact-collect-{name}") as collect_jobs:
-            rows = out.collect()
-    finally:
-        spark.conf.set("spark.sql.adaptive.enabled", aqe)
-    assert 1 <= len(call_jobs()) <= block_sides
+    jobs_per_action = 2 if spark.conf.get("spark.sql.adaptive.enabled") == "true" else 1
+    with _job_group(sc, f"exact-call-{name}") as call_jobs:
+        out = compare_topk(df, spec, 3, strategy="trendwise")
+    with _job_group(sc, f"exact-collect-{name}") as collect_jobs:
+        rows = out.collect()
+    assert len(call_jobs()) == block_sides * jobs_per_action
     assert collect_jobs() == []
     assert len(rows) == 3

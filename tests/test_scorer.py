@@ -11,7 +11,7 @@ from repro.core import scorer
 from repro.core.scorer import (
     align, dense, diff_np, score_from_sum, score_np, score_pair, score_pairs,
 )
-from repro.core.spec import Scorer
+from repro.core.spec import Measure, Scorer
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec = st.lists(finite, min_size=1, max_size=40)
@@ -149,3 +149,44 @@ class TestScoreFromSum:
     def test_minmax_rejected(self):
         with pytest.raises(ValueError):
             score_from_sum(Scorer("MAX", 2), 1.0, 1)
+
+
+class TestLazyBlockKernel:
+    """The lazy trendwise ``mapInPandas`` kernel, run on one pandas batch of
+    ragged trends over a wide grouping domain."""
+
+    @pytest.mark.parametrize("agg", ["SUM", "MAX"])
+    def test_row_slices_bound_dense_arrays_and_keep_scores(self, monkeypatch, agg):
+        from repro.core import trendwise
+
+        rng = np.random.default_rng(5)
+        n, nd = 40, 5000  # a batch of pair rows; domain much wider than any trend
+        ks = [np.sort(rng.choice(nd, rng.integers(3, 60), replace=False)) for _ in range(2 * n)]
+        k1, k2 = ks[:n], ks[n:]
+        k2[0] = np.array([nd + 1])  # a pair with no matching key: no row
+        v1, v2 = [rng.normal(size=len(k)) for k in k1], [rng.normal(size=len(k)) for k in k2]
+        batch = pd.DataFrame({
+            "l_id": np.arange(n), "r_id": np.arange(n) + n,
+            trendwise.KEYS1: k1, trendwise.KEYS2: k2, "__l__m0": v1, "__r__m0": v2,
+        })
+        sc = Scorer(agg, 2)
+        fields = ["l_id", "r_id", "grouping", "measure", "score"]
+        cells = []
+
+        def spy(n_rows, domain, *args):
+            cells.append(n_rows * len(domain))
+            return dense(n_rows, domain, *args)
+
+        def run():
+            fn = trendwise._make_block_scorer(sc, [("g", Measure("AVG", "v"))], ["__m0"], fields)
+            return pd.concat(fn(iter([batch])), ignore_index=True)
+
+        whole = run()
+        monkeypatch.setattr(trendwise, "dense", spy)
+        monkeypatch.setattr(trendwise, "SLICE_FLOATS", 1 << 10)
+        sliced = run()
+        assert max(cells) <= nd + 1  # one row per slice: the domain is wider than the budget
+        pd.testing.assert_frame_equal(sliced, whole)
+        exp = [score_pair(sc, k1[i], v1[i], k2[i], v2[i]) for i in range(n)]
+        assert list(whole["l_id"]) == [i for i in range(n) if not math.isnan(exp[i])]
+        assert list(whole["score"]) == pytest.approx([e for e in exp if not math.isnan(e)])
