@@ -232,8 +232,8 @@ def build_vector_blocks(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
     """:func:`plan_vector_blocks`, the block relations persisted in the open
-    scope too: for a caller that reads a block more than once (Φp reads
-    each side twice, :func:`gm_relations` once per (g, m))."""
+    scope too: for a caller that reads a block more than once
+    (:func:`gm_relations` once per (g, m))."""
     blocks = plan_vector_blocks(df, spec, groups)
     for blk in blocks:
         _persist(blk.rel2)

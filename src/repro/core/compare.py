@@ -38,9 +38,13 @@ TOPK_STRATEGIES = EXACT_STRATEGIES + ("pruned", "compare")
 
 
 def _optimizer_groups(df: DataFrame, spec: CompareSpec, fds: dict[str, str] | None):
+    """Algorithm-1 merge groups; ``None`` (the default grouping) for one
+    (g, m), where there is nothing to merge, so no statistics job runs."""
     from repro.plan.cost import TableStats
     from repro.plan.optimizer import merge_partition
 
+    if len(spec.gms) < 2:
+        return None
     # the cost model reads distinct counts of constraint and grouping columns only
     cols = dict.fromkeys([*spec.t1.cols, *spec.t2.cols, *(g for g, _ in spec.gms)])
     return merge_partition(spec, TableStats.from_df(df, list(cols), fds))
@@ -101,7 +105,7 @@ def compare_topk(
             )
         if strategy == "compare":
             groups = phi_kwargs.pop("groups", None)
-            if groups is None and len(spec.gms) > 1:
+            if groups is None:
                 groups = _optimizer_groups(df, spec, fds)
             if spec.scorer.agg not in ("MIN", "MAX") or phi_kwargs:
                 return compare_topk_pruned(

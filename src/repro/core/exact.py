@@ -10,12 +10,11 @@ a shared block once, the sides concurrently — and decoded into dense
 kernel :func:`~repro.core.scorer.score_pairs`, and the k best, in
 ``topk_exact``'s (score, output identity) order, become a local relation.
 
-This is the execution layering of Φp (Spark aggregates, a driver-side
-algorithm over dense arrays, a local result) without the bounds, and the
-shared-scan, client-side scoring of SeeDB (Vartak et al., PVLDB 8(13),
-2015). Lazy ``compare()`` keeps the Spark plan of
-:mod:`repro.core.trendwise`: its output is O(pairs) and must stay a
-relation.
+This is Φp without the bounds (:mod:`repro.core.pruning` reads the same
+:func:`block_arrays`), and the shared-scan, client-side scoring of SeeDB
+(Vartak et al., PVLDB 8(13), 2015). Lazy ``compare()`` keeps the Spark
+plan of :mod:`repro.core.trendwise`: its output is O(pairs) and must stay
+a relation.
 """
 from __future__ import annotations
 
@@ -45,6 +44,33 @@ def _side_arrays(pdf: pd.DataFrame, vary: tuple[str, ...], value_cols: list[str]
     return tids, mask, vals
 
 
+def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None) -> list:
+    """``(gms, (tids1, m1, vals1), (tids2, m2, vals2))`` per block of
+    :func:`~repro.core.aggregates.plan_vector_blocks`: the block's (g, m)s,
+    then each side's trend ids, (trends × domain) key mask and one value
+    array per (g, m).
+
+    Runs one Spark action per block side (a shared block: one, whose two
+    sides are then one tuple). Each block side is read once, so inside the
+    caller's ``persisted()`` scope only the merged partials that several
+    block sides read are persisted. The domain is the block's sorted
+    distinct non-NULL grouping values.
+    """
+    blocks = plan_vector_blocks(df, spec, groups)
+    fetched = per_block_side(
+        df.sparkSession, spec, blocks, lambda _b, rel, _vary, _side: _fetch(rel)
+    )
+    out = []
+    for blk, (pdf1, pdf2) in zip(blocks, fetched):
+        # every grouping value of the block; a pair matches on those both trends hold
+        domain = pd.Index(pd.concat([pdf1[G_COL], pdf2[G_COL]]).dropna().unique()).sort_values()
+        value_cols = list(blk.value_cols.values())
+        side1 = _side_arrays(pdf1, spec.t1.vary_cols, value_cols, domain)
+        side2 = side1 if blk.shared else _side_arrays(pdf2, spec.t2.vary_cols, value_cols, domain)
+        out.append((list(blk.value_cols), side1, side2))
+    return out
+
+
 def compare_topk_exact(
     df: DataFrame,
     spec: CompareSpec,
@@ -53,29 +79,14 @@ def compare_topk_exact(
     ascending: bool = True,
     groups: list[MergeGroup] | None = None,
 ) -> DataFrame:
-    """The exact top-k pairs (ties broken by output identity) as a local relation.
-
-    Runs one Spark action per block side (a shared block: one). Each block
-    side is read once, so inside the caller's ``persisted()`` scope only
-    the merged partials that several block sides read are persisted.
-    """
-    spark = df.sparkSession
-    blocks = plan_vector_blocks(df, spec, groups)
-    fetched = per_block_side(spark, spec, blocks, lambda _b, rel, _vary, _side: _fetch(rel))
+    """The exact top-k pairs (ties broken by output identity) as a local
+    relation, from the arrays of :func:`block_arrays`."""
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
     parts, scores = [], []
-    for blk, (pdf1, pdf2) in zip(blocks, fetched):
-        # every grouping value of the block; a pair matches on those both trends hold
-        domain = pd.Index(pd.concat([pdf1[G_COL], pdf2[G_COL]]).dropna().unique())
-        value_cols = list(blk.value_cols.values())
-        tids1, m1, v1 = _side_arrays(pdf1, spec.t1.vary_cols, value_cols, domain)
-        tids2, m2, v2 = (
-            (tids1, m1, v1) if blk.shared
-            else _side_arrays(pdf2, spec.t2.vary_cols, value_cols, domain)
-        )
+    for gms, (tids1, m1, v1), (tids2, m2, v2) in block_arrays(df, spec, groups):
         ia, ib = candidate_pairs(spec, tids1, tids2)
         s = score_pairs(spec.scorer, m1, m2, list(zip(v1, v2)), ia, ib)
-        for j, gm in enumerate(blk.value_cols):
+        for j, gm in enumerate(gms):
             ok = ~np.isnan(s[:, j])  # no matched key, or a matched NaN: no row
             parts.append((gm_index[gm], tids1, ia[ok], tids2, ib[ok]))
             scores.append(s[ok, j])
@@ -93,4 +104,4 @@ def compare_topk_exact(
         gi, tids1, ia, tids2, ib = parts[part]
         j = i - starts[part]
         out.append((tids1[ia[j]], tids2[ib[j]], gi, score[i]))
-    return local_frame(spark, output_rows(spec, out), output_schema(df, spec))
+    return local_frame(df.sparkSession, output_rows(spec, out), output_schema(df, spec))

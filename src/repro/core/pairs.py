@@ -123,12 +123,12 @@ def candidate_pairs(
     return np.nonzero(keep == TRUE)
 
 
-def trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | None = None):
-    """Trend ids and each row's index into them (-1 for a trend not in ``tids``).
+def trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...]):
+    """Trend ids and each row's index into them.
 
-    Unless given, the ids are the distinct vary-value tuples of ``pdf`` in
-    Spark's ascending order; a NULL (None or NaN in pandas) is a value of
-    its own, as in a group-by, and becomes None in the id.
+    The ids are the distinct vary-value tuples of ``pdf`` in Spark's
+    ascending order; a NULL (None or NaN in pandas) is a value of its own,
+    as in a group-by, and becomes None in the id.
     """
     if not vary:
         return ([()] if len(pdf) else []), np.zeros(len(pdf), dtype=np.int64)
@@ -138,10 +138,9 @@ def trend_rows(pdf: pd.DataFrame, vary: tuple[str, ...], tids: list[tuple] | Non
         tuple(None if pd.isna(v) else v for v in row)
         for row in pdf[list(vary)].iloc[first].itertuples(index=False, name=None)
     ]
-    if tids is None:
-        tids = sorted(found, key=_null_first)
+    tids = sorted(found, key=_null_first)
     pos = {t: i for i, t in enumerate(tids)}
-    return tids, np.array([pos.get(t, -1) for t in found], dtype=np.int64)[codes]
+    return tids, np.array([pos[t] for t in found], dtype=np.int64)[codes]
 
 
 def identity_keys(spec: CompareSpec, parts: list) -> list[np.ndarray]:

@@ -75,8 +75,8 @@ CATALOG = {
         ),
     ),
     # Q2 with trends keyed by two columns (string, bigint): pairs match
-    # within a month; top-k prunes whole trends, so Φp's survivor fetch
-    # filters on both columns at once
+    # within a month; top-k prunes whole trends, so Φp's identity order
+    # and pair condition compare both columns at once
     "q2_month": (
         "flight",
         CompareSpec(

@@ -186,7 +186,7 @@ class TestPersistedScope:
         _, spec = CATALOG["q4"]
         df = _fresh(flight_df, "raises")
         before = _persistent_rdds(spark)
-        monkeypatch.setattr(pruning, "summarize", boom)
+        monkeypatch.setattr(pruning, "seg_agg", boom)
         with pytest.raises(RuntimeError, match="summary failed"):
             compare_topk(df, spec, 3, strategy="compare")
         assert _persistent_rdds(spark) == before

@@ -54,6 +54,24 @@ def test_optimized_matches_trendwise(request):
         _assert_same_topk(a, b, spec)
 
 
+def test_optimized_runs_no_stats_job_for_one_gm(request, spark):
+    """With one (g, m) Algorithm 1 has nothing to merge: ``optimized`` runs
+    the jobs ``trendwise`` runs, and its lazy plan is built without a job."""
+    dataset, spec = CATALOG["q2"]
+    df = request.getfixturevalue(fixture_for(dataset))
+    assert len(spec.gms) == 1
+    sc = spark.sparkContext
+    counts = {}
+    for strategy in ("optimized", "trendwise"):
+        with _job_group(sc, f"one-gm-topk-{strategy}") as jobs:
+            compare_topk(df, spec, 3, strategy=strategy).collect()
+        counts[strategy] = len(jobs())
+    assert counts["optimized"] == counts["trendwise"]
+    with _job_group(sc, "one-gm-lazy-optimized") as jobs:
+        compare(df, spec, "optimized")
+    assert jobs() == []
+
+
 def test_empty_trendset_gives_empty_frame(sales_df):
     none = TrendsetSpec((ConstraintTerm("region", "Atlantis"), ConstraintTerm("city")))
     europe = TrendsetSpec((ConstraintTerm("region", "Europe"), ConstraintTerm("city")))

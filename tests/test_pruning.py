@@ -6,10 +6,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.core.aggregates import MergeGroup, persisted
 from repro.core.compare import compare, compare_topk, topk_exact
+from repro.core.exact import compare_topk_exact
 from repro.core.pairs import output_schema
 from repro.core.pruning import PruneStats, compare_topk_pruned, sturges
-from repro.core.spec import Scorer
+from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 
 from .spec_catalog import CATALOG, fixture_for
 
@@ -156,15 +158,13 @@ class TestBoundsSoundness:
     def test_initial_bounds_bracket_scores(self, request):
         """Production Summarize + Bound on the q2 fixture bracket every exact score."""
         import repro.core.pruning as P
-        from repro.core.aggregates import build_vector_blocks
+        from repro.core.exact import block_arrays
         from repro.core.pairs import candidate_pairs
 
         dataset, spec = CATALOG["q2"]
         df = request.getfixturevalue(fixture_for(dataset))
-        (blk,) = build_vector_blocks(df, spec)
-        seg = P.segmentations([blk], None)[blk.g]
-        tids, aggs = P.summarize(blk.rel2, spec.t2.vary_cols, blk, seg)
-        agg = aggs[spec.gms[0]]
+        ((_, _, (tids, mask, (vals,))),) = block_arrays(df, spec, None)
+        agg = P.seg_agg(mask, vals, P.segment_edges(mask.shape[1], None))
         ia, ib = candidate_pairs(spec, tids, tids)
         _, lb, ub = P.bound_pairs(agg, agg, ia, ib, spec.scorer.p)
         exact = {
@@ -246,7 +246,7 @@ class TestSparkActions:
         assert [r["score"] for r in got] == pytest.approx([r["score"] for r in exact])
 
     def test_concurrent_actions_keep_callers_job_group(self, request, spark):
-        # q4 has two blocks (day, week): each phase runs its actions concurrently
+        # q4 has two blocks (day, week), fetched concurrently
         dataset, spec = CATALOG["q4"]
         df = request.getfixturevalue(fixture_for(dataset))
         sc = spark.sparkContext
@@ -259,22 +259,81 @@ class TestSparkActions:
                     spark.range(1).collect()
             marks.append(jobs())
         (before,), in_call, (after,) = marks
-        assert len(in_call) >= 4  # at least 2 domain and 2 summary actions
+        with _job_group(sc, "phi-jobs-exact") as exact_jobs:
+            compare_topk_exact(df, spec, 3).collect()
+        assert len(in_call) == len(exact_jobs())  # one fetch per block side
         assert in_call == list(range(before + 1, after))
+
+    @pytest.mark.parametrize(
+        "name,merged", [("q2", False), ("q3", False), ("q4", False), ("q4", True)]
+    )
+    def test_runs_the_exact_paths_jobs(self, request, spark, name, merged):
+        """One Arrow fetch per block side, as on the exact path: no domain
+        collect, no summary, no survivor fetch, and no persisted block (a
+        cache would add a job to build it). Under adaptive execution, the
+        session's default, an action over a block's one shuffle is two jobs."""
+        dataset, spec = CATALOG[name]
+        df = request.getfixturevalue(fixture_for(dataset))
+        groups = [MergeGroup(spec.gms)] if merged else None
+        sc = spark.sparkContext
+        counts = []
+        # compare_topk_pruned opens its own persisted() scope, as compare_topk does for both
+        exact = persisted()(compare_topk_exact)
+        for label, run in (("phi", compare_topk_pruned), ("exact", exact)):
+            with _job_group(sc, f"phi-vs-exact-{name}-{merged}-{label}") as jobs:
+                run(df, spec, 3, groups=groups).collect()
+            counts.append(len(jobs()))
+        assert counts[0] == counts[1]
+        if not merged:
+            block_sides = {"q2": 1, "q3": 4, "q4": 2}[name]
+            per_action = 2 if spark.conf.get("spark.sql.adaptive.enabled") == "true" else 1
+            assert counts[0] == block_sides * per_action
+
+
+class TestNanAndEmpty:
+    @pytest.mark.parametrize("missing", [None, float("nan")], ids=["null", "nan"])
+    def test_nan_measure_drops_its_pairs_as_trendwise_does(self, spark, missing):
+        """4 cities × 12 weeks, AVG(revenue) NULL (or NaN) at city 'b',
+        week 3: every pair with 'b' has a matched NaN and gets no row, so
+        Φp picks what the exact top-k picks and emits no NaN score. (SQL
+        would skip the NULL diff instead; not implemented yet.)"""
+        offset = {"a": 0, "b": 3, "c": None, "d": 1}
+        rows = [(c, w, float(2 * w if off is None else w + off)) for c, off in offset.items()
+                for w in range(12)]
+        rows[12 + 3] = ("b", 3, missing)
+        df = spark.createDataFrame(rows, "city string, week long, revenue double")
+        ts = TrendsetSpec((ConstraintTerm("city"),))
+        spec = CompareSpec(ts, ts, (("week", Measure("AVG", "revenue")),), Scorer("SUM", 2))
+        for k in (3, 10):
+            exp = compare_topk(df, spec, k, strategy="trendwise").collect()
+            assert [(r["l_city"], r["r_city"]) for r in exp] == [("a", "d"), ("c", "d"), ("a", "c")]
+            for strategy in ("compare", "pruned"):
+                got = compare_topk(df, spec, k, strategy=strategy).collect()
+                assert [r[:-1] for r in got] == [r[:-1] for r in exp], strategy
+                assert [r["score"] for r in got] == pytest.approx([r["score"] for r in exp])
+                assert not any(math.isnan(r["score"]) for r in got)
+
+    @pytest.mark.parametrize("strategy", ["compare", "pruned"])
+    def test_empty_trendset_gives_empty_frame(self, sales_df, strategy):
+        none = TrendsetSpec((ConstraintTerm("region", "Atlantis"), ConstraintTerm("city")))
+        europe = TrendsetSpec((ConstraintTerm("region", "Europe"), ConstraintTerm("city")))
+        for t1, t2 in ((none, europe), (europe, none), (none, none)):
+            spec = CompareSpec(t1, t2, (("week", Measure("AVG", "revenue")),))
+            out = compare_topk(sales_df, spec, 3, strategy=strategy)
+            assert out.collect() == []
+            assert out.schema == output_schema(sales_df, spec)
 
 
 def _matched_total(df, spec):
     """Σ over candidate pairs of matched tuples, from the production summaries."""
     import repro.core.pruning as P
-    from repro.core.aggregates import build_vector_blocks
+    from repro.core.exact import block_arrays
     from repro.core.pairs import candidate_pairs
 
-    blocks = build_vector_blocks(df, spec)
-    segs = P.segmentations(blocks, None)
     total = 0
-    for blk in blocks:
-        tids, aggs = P.summarize(blk.rel2, spec.t2.vary_cols, blk, segs[blk.g])
-        for agg in aggs.values():
+    for _, _, (tids, mask, vals) in block_arrays(df, spec, None):
+        edges = P.segment_edges(mask.shape[1], None)
+        for agg in (P.seg_agg(mask, v, edges) for v in vals):
             ia, ib = candidate_pairs(spec, tids, tids)
             total += int(P.bound_pairs(agg, agg, ia, ib, spec.scorer.p)[0].sum())
     return total
@@ -338,8 +397,6 @@ class TestTies:
     @pytest.mark.parametrize("ascending", [True, False])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_strategies_agree_on_tied_pairs(self, dup_df, p, ascending, k):
-        from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
-
         ts = TrendsetSpec((ConstraintTerm("city"),))
         spec = CompareSpec(ts, ts, (("week", Measure("AVG", "revenue")),), Scorer("SUM", p))
         picks = {}
