@@ -4,7 +4,7 @@
 import _common
 
 from repro import synth_data as sd
-from repro.bench.harness import execute, timed
+from repro.bench.harness import MIDDLEWARE_MBPS, execute, timed
 from repro.bench.workloads import Workload, flight_gms, flight_queries
 from repro.core.spec import CompareSpec, ConstraintTerm, Scorer, TrendsetSpec
 
@@ -21,6 +21,7 @@ def run(
     trend_counts=(10, 32, 64, 128),
     gm_counts=(1, 4, 10),
     fixed_counts=(8, 32, 128, 512),
+    bandwidth_mbps=MIDDLEWARE_MBPS,
 ):
     rows = []
     # (a) scale the number of trends, trend size held by the generator
@@ -29,7 +30,7 @@ def run(
         wl = flight_queries()["Q2"]
         base = timed(execute, "naive_sql", df, wl)
         for m in ("udf", "middleware", "compare"):
-            t = timed(execute, m, df, wl)  # middleware uses the simulated 10 MB/s link
+            t = timed(execute, m, df, wl, bandwidth_mbps=bandwidth_mbps)
             rows.append({"sweep": "n_trends", "x": n_trends, "method": m,
                          "seconds": round(t, 3), "speedup_vs_naive": round(base / t, 2)})
         rows.append({"sweep": "n_trends", "x": n_trends, "method": "naive_sql",

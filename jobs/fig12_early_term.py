@@ -5,40 +5,40 @@ import math
 
 import _common
 
-from repro.bench.harness import drop_datasets, get_dataset, timed
+from repro.bench.harness import dataset_cache, timed
 from repro.bench.workloads import flight_queries
 from repro.core.pruning import compare_topk_pruned
 
 
 def run(spark, sf=0.05, queries=("Q2", "Q4"), chunks=(1, 5, 20, 50, 200, 1000)):
     rows = []
-    df = get_dataset(spark, "flight", sf)
-    n_days = df.select("day").distinct().count()
-    auto = max(1, n_days // int(1 + math.log2(n_days)))
-    wls = flight_queries()
-    for q in queries:
-        wl = wls[q]
-        for tpu in tuple(chunks) + (auto,):
-            t = timed(
-                lambda: compare_topk_pruned(
-                    df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu
-                ).collect()
-            )
-            _, stats = compare_topk_pruned(
-                df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu,
-                return_stats=True,
-            )
-            rows.append(
-                {
-                    "query": q,
-                    "tuples_per_update": tpu,
-                    "seconds": round(t, 3),
-                    "refine_steps": stats.refine_steps,
-                    "tuples_compared": stats.tuples_compared,
-                    "is_auto": tpu == auto,
-                }
-            )
-    drop_datasets()
+    with dataset_cache(spark) as get_dataset:
+        df = get_dataset("flight", sf)
+        n_days = df.select("day").distinct().count()
+        auto = max(1, n_days // int(1 + math.log2(n_days)))
+        wls = flight_queries()
+        for q in queries:
+            wl = wls[q]
+            for tpu in tuple(chunks) + (auto,):
+                t = timed(
+                    lambda: compare_topk_pruned(
+                        df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu
+                    ).collect()
+                )
+                _, stats = compare_topk_pruned(
+                    df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu,
+                    return_stats=True,
+                )
+                rows.append(
+                    {
+                        "query": q,
+                        "tuples_per_update": tpu,
+                        "seconds": round(t, 3),
+                        "refine_steps": stats.refine_steps,
+                        "tuples_compared": stats.tuples_compared,
+                        "is_auto": tpu == auto,
+                    }
+                )
     return rows
 
 

@@ -3,7 +3,7 @@ basic → +merged aggregates → +trendwise → +segment pruning → +early
 termination. Reported as speedup over the basic plan."""
 import _common
 
-from repro.bench.harness import drop_datasets, execute, get_dataset, timed
+from repro.bench.harness import dataset_cache, execute, timed
 from repro.bench.workloads import flight_queries
 
 LEVELS = ("basic", "merged", "trendwise", "pruned", "compare")
@@ -11,18 +11,18 @@ LEVELS = ("basic", "merged", "trendwise", "pruned", "compare")
 
 def run(spark, sf=0.05, queries=("Q1", "Q2", "Q3", "Q4")):
     rows = []
-    wls = flight_queries()
-    df = get_dataset(spark, "flight", sf)
-    for q in queries:
-        wl = wls[q]
-        execute("compare", df, wl)  # warm-up
-        times = {lvl: timed(execute, lvl, df, wl) for lvl in LEVELS}
-        row = {"query": q}
-        for lvl in LEVELS:
-            row[f"{lvl}_s"] = round(times[lvl], 3)
-            row[f"{lvl}_x"] = round(times["basic"] / times[lvl], 2)
-        rows.append(row)
-    drop_datasets()
+    with dataset_cache(spark) as get_dataset:
+        wls = flight_queries()
+        df = get_dataset("flight", sf)
+        for q in queries:
+            wl = wls[q]
+            execute("compare", df, wl)  # warm-up
+            times = {lvl: timed(execute, lvl, df, wl) for lvl in LEVELS}
+            row = {"query": q}
+            for lvl in LEVELS:
+                row[f"{lvl}_s"] = round(times[lvl], 3)
+                row[f"{lvl}_x"] = round(times["basic"] / times[lvl], 2)
+            rows.append(row)
     return rows
 
 

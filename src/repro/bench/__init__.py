@@ -1,12 +1,12 @@
 """Evaluation harness: Table 4 workloads, dataset loaders, timing."""
 from .workloads import Workload, flight_queries, tpcds_queries
-from .harness import get_dataset, execute, timed
+from .harness import dataset_cache, execute, timed
 
 __all__ = [
     "Workload",
     "flight_queries",
     "tpcds_queries",
-    "get_dataset",
+    "dataset_cache",
     "execute",
     "timed",
 ]

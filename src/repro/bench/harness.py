@@ -1,14 +1,16 @@
 """Timing + dataset harness for the jobs/ entrypoints.
 
-Datasets are generated once per (name, sf, …) and cached in memory
-(paper §8 reports warm runs with tables in the buffer pool). Every
-measured execution materializes its result; a COMPARE strategy releases
-the aggregates it persisted before it returns, so runs are independent.
+Inside one :func:`dataset_cache` block, datasets are generated once per
+(name, sf, …) and cached in memory (paper §8 reports warm runs with
+tables in the buffer pool). Every measured execution materializes its
+result; a COMPARE strategy releases the aggregates it persisted before
+it returns, so runs are independent.
 """
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -21,10 +23,8 @@ from repro.core.compare import compare_topk
 from .workloads import Workload
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
-#: simulated middleware link (paper: 10 MB/s); override for tests
+#: simulated middleware link (paper: 10 MB/s); a caller passes ``bandwidth_mbps``
 MIDDLEWARE_MBPS = float(os.environ.get("REPRO_MIDDLEWARE_MBPS", "10"))
-
-_CACHE: dict[tuple, DataFrame] = {}
 
 
 def tune_session(spark: SparkSession) -> None:
@@ -44,43 +44,51 @@ def tune_session(spark: SparkSession) -> None:
     )
 
 
-def get_dataset(
-    spark: SparkSession, name: str, sf: float, *, n_entities: int | None = None
-) -> DataFrame:
-    """Cached, materialized benchmark input ('flight' or 'tpcds')."""
-    key = (name, sf, n_entities)
-    if key not in _CACHE:
-        if name == "flight":
-            df = sd.flights(spark, sf=sf, n_airports=n_entities or 128)
-        elif name == "tpcds":
-            df = sd.websales(spark, sf=sf, n_pages=n_entities or 96)
-        else:
-            raise ValueError(name)
-        df = df.cache()
-        df.count()
-        _CACHE[key] = df
-    return _CACHE[key]
+@contextmanager
+def dataset_cache(spark: SparkSession):
+    """Yields ``get(name, sf, *, n_entities=None)``: the cached, materialized
+    benchmark input 'flight' or 'tpcds', generated once per key inside the
+    block; every input it cached is unpersisted when the block exits."""
+    cache: dict[tuple, DataFrame] = {}
 
+    def get(name: str, sf: float, *, n_entities: int | None = None) -> DataFrame:
+        key = (name, sf, n_entities)
+        if key not in cache:
+            if name == "flight":
+                df = sd.flights(spark, sf=sf, n_airports=n_entities or 128)
+            elif name == "tpcds":
+                df = sd.websales(spark, sf=sf, n_pages=n_entities or 96)
+            else:
+                raise ValueError(name)
+            df = df.cache()
+            df.count()
+            cache[key] = df
+        return cache[key]
 
-def drop_datasets() -> None:
-    while _CACHE:
-        df = _CACHE.popitem()[1]
-        try:
+    try:
+        yield get
+    finally:
+        for df in cache.values():
             df.unpersist()
-        except Exception:
-            pass  # session already stopped
 
 
-def execute(method: str, df: DataFrame, wl: Workload, **kw) -> int:
-    """Run one top-k comparative query end to end; returns result rows."""
+def execute(
+    method: str, df: DataFrame, wl: Workload, *, bandwidth_mbps: float | None = MIDDLEWARE_MBPS,
+    **kw,
+) -> int:
+    """Run one top-k comparative query end to end; returns result rows.
+
+    ``bandwidth_mbps`` is the middleware's simulated link (``None`` or 0:
+    no simulated transfer); ``kw`` go to :func:`compare_topk`."""
     k, asc = wl.k, wl.ascending
     if method == "naive_sql":
         return len(compare_topk_naive_sql(df, wl.spec, k, asc).collect())
     if method == "udf":
         return len(compare_udf(df, wl.spec, k=k, ascending=asc).collect())
     if method == "middleware":
-        bw = kw.pop("bandwidth_mbps", MIDDLEWARE_MBPS)
-        return len(compare_middleware(df, wl.spec, k=k, ascending=asc, bandwidth_mbps=bw))
+        return len(
+            compare_middleware(df, wl.spec, k=k, ascending=asc, bandwidth_mbps=bandwidth_mbps)
+        )
     # COMPARE strategies (full system + ablation levels)
     out = compare_topk(df, wl.spec, k, ascending=asc, strategy=method, fds=wl.fds, **kw)
     return len(out.collect())

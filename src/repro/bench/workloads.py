@@ -32,7 +32,6 @@ def _ts(*terms) -> TrendsetSpec:
 
 
 _SCORER = Scorer("SUM", 2)
-_FLIGHT_FDS = {"week": "day", "month": "day"}
 
 
 def flight_gms(n: int = 10) -> tuple:
@@ -58,28 +57,29 @@ def tpcds_gms(n: int = 5) -> tuple:
 def flight_queries(ref_airport: str = "A0", n_gms: int = 10) -> dict[str, Workload]:
     one = flight_gms(1)
     many = flight_gms(n_gms)
+    fds = {"week": "day", "month": "day"}
     return {
         "Q1": Workload(
             "Q1", "flight",
             CompareSpec(_ts(("airport", ref_airport)), _ts(("airport",)), one, _SCORER),
-            fds=_FLIGHT_FDS,
+            fds=fds,
         ),
         "Q2": Workload(
             "Q2", "flight",
             CompareSpec(_ts(("airport",)), _ts(("airport",)), one, _SCORER),
-            fds=_FLIGHT_FDS,
+            fds=fds,
         ),
         "Q3": Workload(
             "Q3", "flight",
             CompareSpec(
                 _ts(("airport", ref_airport)), _ts(("airport", ref_airport)), many, _SCORER
             ),
-            fds=_FLIGHT_FDS,
+            fds=fds,
         ),
         "Q4": Workload(
             "Q4", "flight",
             CompareSpec(_ts(("airport",)), _ts(("airport",)), many, _SCORER),
-            fds=_FLIGHT_FDS,
+            fds=fds,
         ),
     }
 

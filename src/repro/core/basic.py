@@ -32,8 +32,8 @@ from .sql_gen import verbose_sql
 _VIEW_PROBES = 8
 
 
-def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
-    """``spark.sql(render(view))`` with ``df`` registered as the temp view ``view``.
+def input_view(df: DataFrame) -> str:
+    """Name of the session temp view that holds ``df``, registered if needed.
 
     One view serves every call on the same input: it is named from
     ``df.semanticHash()`` and reused when it holds ``df``'s plan *and*
@@ -56,11 +56,16 @@ def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
                 pass
         held = spark.table(view)
         if held.schema == df.schema and held.sameSemantics(df):
-            return spark.sql(render(view))
+            return view
     # every probed name holds another input: register a view for this call
     view = "R_" + uuid.uuid4().hex
     df.createTempView(view)
-    return spark.sql(render(view))
+    return view
+
+
+def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
+    """``spark.sql(render(view))`` over ``df``'s :func:`input_view`."""
+    return df.sparkSession.sql(render(input_view(df)))
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:

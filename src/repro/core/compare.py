@@ -39,7 +39,9 @@ TOPK_STRATEGIES = EXACT_STRATEGIES + ("pruned", "compare")
 
 def _optimizer_groups(df: DataFrame, spec: CompareSpec, fds: dict[str, str] | None):
     """Algorithm-1 merge groups; ``None`` (the default grouping) for one
-    (g, m), where there is nothing to merge, so no statistics job runs."""
+    (g, m), where there is nothing to merge. The statistics come from the
+    session catalog, so only a column the input has not been scanned for
+    yet runs a statistics job."""
     from repro.plan.cost import TableStats
     from repro.plan.optimizer import merge_partition
 
@@ -47,7 +49,7 @@ def _optimizer_groups(df: DataFrame, spec: CompareSpec, fds: dict[str, str] | No
         return None
     # the cost model reads distinct counts of constraint and grouping columns only
     cols = dict.fromkeys([*spec.t1.cols, *spec.t2.cols, *(g for g, _ in spec.gms)])
-    return merge_partition(spec, TableStats.from_df(df, list(cols), fds))
+    return merge_partition(spec, TableStats.of_input(df, list(cols), fds))
 
 
 def compare(

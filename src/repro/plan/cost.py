@@ -1,12 +1,17 @@
 """Cost model for COMPARE sub-plans (paper §4.2, Algorithm 1).
 
 The paper uses SQL Server's optimizer cost model over database
-statistics (row counts, distinct-value estimates). We reproduce the
-ingredients Algorithm 1 actually consumes: per-column distinct counts,
-row counts, optional functional dependencies (``week`` is determined by
-``day``) standing in for the histogram-derived correlation the paper's
-engine sees, and linear/shuffle cost terms for group-by, partition and
-re-aggregate operators.
+statistics (row counts, distinct-value estimates) that the engine keeps
+in its catalog. We reproduce the ingredients Algorithm 1 actually
+consumes: per-column distinct counts, row counts, optional functional
+dependencies (``week`` is determined by ``day``) standing in for the
+histogram-derived correlation the paper's engine sees, and
+linear/shuffle cost terms for group-by, partition and re-aggregate
+operators.
+
+The statistics are session catalog statistics (:meth:`TableStats.of_input`):
+computed once per input plan and Spark session, a column at a time as
+queries first need it, and read back without a Spark job afterwards.
 """
 from __future__ import annotations
 
@@ -14,8 +19,11 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.aggregates import MergeGroup, slice_filters
+from repro.core.basic import input_view
+from repro.core.pairs import local_frame
 from repro.core.spec import CompareSpec, TrendsetSpec
 
 # Relative operator weights: reading a row, writing/shuffling an
@@ -24,6 +32,13 @@ C_SCAN = 1.0
 C_AGG_OUT = 2.0
 C_PART = 1.0
 C_REAGG = 1.0
+
+#: suffix of the temp view holding an input view's statistics, one row per
+#: column (its distinct count) plus the row count under a NULL column name
+STATS_VIEW_SUFFIX = "__stats"
+_STATS_SCHEMA = T.StructType(
+    [T.StructField("col", T.StringType()), T.StructField("n", T.LongType())]
+)
 
 
 @dataclass
@@ -41,6 +56,30 @@ class TableStats:
         ]
         row = df.agg(*aggs).collect()[0]
         return cls(row["__n"], {c: row[c] for c in cols}, fds or {})
+
+    @classmethod
+    def of_input(cls, df: DataFrame, cols: list[str], fds: dict[str, str] | None = None) -> "TableStats":
+        """:meth:`from_df`'s statistics of ``df``, kept in the session's catalog.
+
+        They live in a local relation registered as the temp view
+        ``<input view>__stats``, next to ``df``'s
+        :func:`~repro.core.basic.input_view` (so inputs that differ only by
+        aliases keep apart). A call scans ``df`` only for the columns that
+        relation lacks and then registers the extended relation; reading it
+        back runs no Spark job. ``fds`` are per-call hints and are not
+        stored. Statistics steer only Algorithm 1's merge choice, never a
+        result, so a stale entry can cost speed but not correctness.
+        """
+        spark = df.sparkSession
+        view = input_view(df) + STATS_VIEW_SUFFIX
+        known = dict(spark.table(view).collect()) if spark.catalog.tableExists(view) else {}
+        missing = [c for c in cols if c not in known]
+        if missing or not known:
+            scanned = cls.from_df(df, missing)
+            known.update(scanned.distinct)
+            known[None] = scanned.n_rows
+            local_frame(spark, list(known.items()), _STATS_SCHEMA).createOrReplaceTempView(view)
+        return cls(known[None], {c: known[c] for c in cols}, fds or {})
 
     def joint_distinct(self, cols: tuple[str, ...]) -> int:
         """Estimated distinct combinations, honouring FD hints."""

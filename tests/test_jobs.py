@@ -2,20 +2,10 @@
 import os
 import sys
 
-import pytest
-
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
 sys.path.insert(0, os.path.abspath(JOBS_DIR))
 
 TINY = 0.002
-
-
-@pytest.fixture(autouse=True)
-def _release(spark):
-    yield
-    from repro.bench.harness import drop_datasets
-
-    drop_datasets()
 
 
 def test_table4_workloads():
@@ -39,14 +29,9 @@ def test_table5_datasets(spark):
 
 def test_fig9a_latency(spark):
     import fig9a_latency as j
-    import repro.bench.harness as H
 
-    old = H.MIDDLEWARE_MBPS
-    H.MIDDLEWARE_MBPS = 0  # no simulated sleep in tests
-    try:
-        rows = j.run(spark, sf=TINY, queries=("Q1",), datasets=("flight",))
-    finally:
-        H.MIDDLEWARE_MBPS = old
+    # no simulated middleware transfer in tests
+    rows = j.run(spark, sf=TINY, queries=("Q1",), datasets=("flight",), bandwidth_mbps=None)
     assert len(rows) == 1
     r = rows[0]
     assert {"udf_x", "middleware_x", "compare_x"} <= set(r)
@@ -62,14 +47,10 @@ def test_fig9b_ablation(spark):
 
 def test_fig10_scaling_smoke(spark):
     import fig10_scaling as j
-    import repro.bench.harness as H
 
-    old = H.MIDDLEWARE_MBPS
-    H.MIDDLEWARE_MBPS = 0
-    try:
-        rows = j.run(spark, TINY, trend_counts=(6,), gm_counts=(1,), fixed_counts=(6,))
-    finally:
-        H.MIDDLEWARE_MBPS = old
+    rows = j.run(
+        spark, TINY, trend_counts=(6,), gm_counts=(1,), fixed_counts=(6,), bandwidth_mbps=None
+    )
     assert {r["sweep"] for r in rows} == {"n_trends", "n_gm", "fixed_size"}
     assert all(r["seconds"] > 0 for r in rows)
 

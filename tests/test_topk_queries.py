@@ -1,12 +1,10 @@
-"""End-to-end §3.2 top-k comparative queries: COMPARE + ORDER BY/LIMIT
-+ join back to the base tuples, checked against DuckDB running the
-verbose top-k SQL."""
+"""End-to-end §3.2 top-k comparative queries: COMPARE + ORDER BY/LIMIT,
+checked against DuckDB running the verbose top-k SQL."""
 import duckdb
 import pytest
 
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.sql_gen import topk_sql
-from repro.core.topk import topk_tuples
 
 from .spec_catalog import CATALOG, fixture_for
 
@@ -49,42 +47,6 @@ def test_example_1a_most_dissimilar_product(request, sales_df):
     top = compare_topk(sales_df, spec, 1, ascending=False, strategy="compare").toPandas()
     exp = _oracle_topk(sales_df, spec, 1, False)
     assert top.loc[0, "r_product"] == exp.loc[0, "r_product"]
-
-
-def test_topk_tuples_join_back(request, sales_df):
-    _, spec = CATALOG["ex2a"]
-    top = compare_topk(sales_df, spec, 1, ascending=True, strategy="compare")
-    tuples = topk_tuples(sales_df, top, spec)
-    pdf = tuples.toPandas()
-    trow = top.toPandas().iloc[0]
-    # side-1 tuples belong to the winning Asia city, side-2 to the Europe city
-    s1 = pdf[pdf["side"] == 1]
-    s2 = pdf[pdf["side"] == 2]
-    assert set(s1["city"]) == {trow["l_city"]} and set(s1["region"]) == {"Asia"}
-    assert set(s2["city"]) == {trow["r_city"]} and set(s2["region"]) == {"Europe"}
-    assert (pdf["score"].round(6) == round(trow["score"], 6)).all()
-    # every returned tuple exists in the base relation
-    assert len(pdf) == len(
-        sales_df.filter(
-            (sales_df.region == "Asia") & (sales_df.city == trow["l_city"])
-        ).collect()
-    ) + len(
-        sales_df.filter(
-            (sales_df.region == "Europe") & (sales_df.city == trow["r_city"])
-        ).collect()
-    )
-
-
-def test_topk_tuples_empty_result(request, sales_df):
-    from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
-
-    spec = CompareSpec(
-        TrendsetSpec((ConstraintTerm("region", "Nowhere"),)),
-        TrendsetSpec((ConstraintTerm("region", "Nowhere"), ConstraintTerm("product"),)),
-        (("week", Measure("AVG", "revenue")),),
-    )
-    top = topk_exact(compare(sales_df, spec, "trendwise"), 1, True)
-    assert topk_tuples(sales_df, top, spec).count() == 0
 
 
 def test_topk_k_larger_than_pairs(request, flight_df):

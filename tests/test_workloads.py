@@ -1,7 +1,7 @@
 """Table 4 workload definitions and the bench harness."""
 import pytest
 
-from repro.bench.harness import execute, get_dataset, drop_datasets, speedup_row
+from repro.bench.harness import dataset_cache, execute, speedup_row
 from repro.bench.workloads import Workload, flight_gms, flight_queries, tpcds_gms, tpcds_queries
 
 
@@ -59,14 +59,23 @@ class TestWorkloadShapes:
 
 class TestHarness:
     @pytest.fixture(scope="class")
-    def tiny_flight(self, spark):
-        df = get_dataset(spark, "flight", 0.001, n_entities=6)
-        yield df
-        drop_datasets()
+    def get_dataset(self, spark):
+        with dataset_cache(spark) as get:
+            yield get
 
-    def test_get_dataset_cached(self, spark, tiny_flight):
-        again = get_dataset(spark, "flight", 0.001, n_entities=6)
+    @pytest.fixture(scope="class")
+    def tiny_flight(self, get_dataset):
+        return get_dataset("flight", 0.001, n_entities=6)
+
+    def test_get_dataset_cached(self, get_dataset, tiny_flight):
+        again = get_dataset("flight", 0.001, n_entities=6)
         assert again is tiny_flight
+
+    def test_dataset_cache_unpersists_on_exit(self, spark):
+        with dataset_cache(spark) as get:
+            df = get("flight", 0.001, n_entities=5)
+            assert df.storageLevel.useMemory
+        assert not df.storageLevel.useMemory
 
     @pytest.mark.parametrize("method", ["naive_sql", "udf", "compare"])
     def test_execute_methods_return_k_rows(self, tiny_flight, method):
@@ -82,9 +91,9 @@ class TestHarness:
         for m in ("basic", "merged", "trendwise", "pruned"):
             assert execute(m, tiny_flight, wl) == 5
 
-    def test_unknown_dataset_rejected(self, spark):
+    def test_unknown_dataset_rejected(self, get_dataset):
         with pytest.raises(ValueError):
-            get_dataset(spark, "nope", 0.001)
+            get_dataset("nope", 0.001)
 
     def test_speedup_row(self):
         row = speedup_row("Q1", 10.0, {"compare": 2.5})
