@@ -18,7 +18,7 @@ import time
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.aggregates import G_COL, V_COL, build_vector_blocks, gm_relations
+from repro.core.aggregates import build_vector_blocks, gm_relations
 from repro.core.spec import CompareSpec
 
 from . import client_core as cc
@@ -46,18 +46,12 @@ def compare_middleware(
     (the result lives client-side), optionally with total bytes moved."""
     rels = gm_relations(build_vector_blocks(df, spec), spec)
     total_bytes = 0
-    per_gm = []
+    fetched = []
     for gm in spec.gms:
         r1, r2 = rels[gm]
         p2, b2 = _fetch(r2, bandwidth_mbps)
-        total_bytes += b2
-        if r1 is r2:
-            p1 = p2
-        else:
-            p1, b1 = _fetch(r1, bandwidth_mbps)
-            total_bytes += b1
-        t1 = cc.group_trends(p1, spec.t1.vary_cols, G_COL, V_COL)
-        t2 = cc.group_trends(p2, spec.t2.vary_cols, G_COL, V_COL)
-        per_gm.append((t1, t2))
-    out = cc.result_frame(spec, per_gm, k, ascending)
+        p1, b1 = (p2, 0) if r1 is r2 else _fetch(r1, bandwidth_mbps)
+        total_bytes += b1 + b2
+        fetched.append((p1, p2))
+    out = cc.result_frame(spec, fetched, k, ascending)
     return (out, total_bytes) if return_bytes else out

@@ -10,6 +10,7 @@ includes the trendwise + summary-pruning optimizations (see
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator
 
 import pandas as pd
@@ -26,28 +27,18 @@ from . import client_core as cc
 def _tagged_union(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """UNION of all (side, gm) aggregates — the UDF's GROUPING SETS input."""
     rels = gm_relations(build_vector_blocks(df, spec), spec)
-    all_vary: list[str] = []
-    for ts in (spec.t1, spec.t2):
-        for c in ts.vary_cols:
-            if c not in all_vary:
-                all_vary.append(c)
+    all_vary = dict.fromkeys((*spec.t1.vary_cols, *spec.t2.vary_cols))
     types = {f.name: f.dataType for f in df.schema.fields}
     parts = []
     for side, ts in ((1, spec.t1), (2, spec.t2)):
         for i, gm in enumerate(spec.gms):
             rel = rels[gm][side - 1]
             sel = [F.lit(side).alias("__side"), F.lit(i).alias("__gm")]
-            for c in all_vary:
-                if c in ts.vary_cols:
-                    sel.append(F.col(c).alias(c))
-                else:
-                    sel.append(F.lit(None).cast(types[c]).alias(c))
-            sel += [F.col(G_COL).cast("string").alias("__gs"), F.col(V_COL).alias(V_COL)]
+            sel += [F.col(c) if c in ts.vary_cols else F.lit(None).cast(types[c]).alias(c)
+                    for c in all_vary]
+            sel += [F.col(G_COL).cast("string").alias(G_COL), V_COL]
             parts.append(rel.select(*sel))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out
+    return reduce(DataFrame.unionByName, parts)
 
 
 def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
@@ -56,17 +47,9 @@ def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
         if not chunks:
             return
         pdf = pd.concat(chunks, ignore_index=True)
-        per_gm = []
-        for gi in range(len(spec.gms)):
-            part = pdf[pdf["__gm"] == gi]
-            t1 = cc.group_trends(
-                part[part["__side"] == 1], spec.t1.vary_cols, "__gs", V_COL
-            )
-            t2 = cc.group_trends(
-                part[part["__side"] == 2], spec.t2.vary_cols, "__gs", V_COL
-            )
-            per_gm.append((t1, t2))
-        yield cc.result_frame(spec, per_gm, k, ascending)
+        parts = [pdf[pdf["__gm"] == gi] for gi in range(len(spec.gms))]
+        fetched = [(part[part["__side"] == 1], part[part["__side"] == 2]) for part in parts]
+        yield cc.result_frame(spec, fetched, k, ascending)
 
     return fn
 

@@ -44,46 +44,50 @@ def _side_arrays(pdf: pd.DataFrame, vary: tuple[str, ...], value_cols: list[str]
     return tids, mask, vals
 
 
+def block_sides(spec: CompareSpec, pdf1: pd.DataFrame, pdf2: pd.DataFrame, value_cols: list[str]):
+    """``((tids1, m1, vals1), (tids2, m2, vals2))`` of one block's fetched
+    sides ``(vary…, __g, value_cols…)``: each side's trend ids, (trends ×
+    domain) key mask and one value array per column of ``value_cols``.
+
+    The domain is the block's sorted distinct non-NULL grouping values. A
+    shared block (``pdf1 is pdf2``) is decoded once, and its two sides are
+    then one tuple.
+    """
+    # every grouping value of the block; a pair matches on those both trends hold
+    domain = pd.Index(pd.concat([pdf1[G_COL], pdf2[G_COL]]).dropna().unique()).sort_values()
+    side1 = _side_arrays(pdf1, spec.t1.vary_cols, value_cols, domain)
+    side2 = side1 if pdf1 is pdf2 else _side_arrays(pdf2, spec.t2.vary_cols, value_cols, domain)
+    return side1, side2
+
+
 def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None) -> list:
     """``(gms, (tids1, m1, vals1), (tids2, m2, vals2))`` per block of
     :func:`~repro.core.aggregates.plan_vector_blocks`: the block's (g, m)s,
-    then each side's trend ids, (trends × domain) key mask and one value
-    array per (g, m).
+    then its :func:`block_sides`, one value array per (g, m).
 
     Runs one Spark action per block side (a shared block: one, whose two
     sides are then one tuple). Each block side is read once, so inside the
     caller's ``persisted()`` scope only the merged partials that several
-    block sides read are persisted. The domain is the block's sorted
-    distinct non-NULL grouping values.
+    block sides read are persisted.
     """
     blocks = plan_vector_blocks(df, spec, groups)
     fetched = per_block_side(
         df.sparkSession, spec, blocks, lambda _b, rel, _vary, _side: _fetch(rel)
     )
-    out = []
-    for blk, (pdf1, pdf2) in zip(blocks, fetched):
-        # every grouping value of the block; a pair matches on those both trends hold
-        domain = pd.Index(pd.concat([pdf1[G_COL], pdf2[G_COL]]).dropna().unique()).sort_values()
-        value_cols = list(blk.value_cols.values())
-        side1 = _side_arrays(pdf1, spec.t1.vary_cols, value_cols, domain)
-        side2 = side1 if blk.shared else _side_arrays(pdf2, spec.t2.vary_cols, value_cols, domain)
-        out.append((list(blk.value_cols), side1, side2))
-    return out
+    return [
+        (list(blk.value_cols), *block_sides(spec, pdf1, pdf2, list(blk.value_cols.values())))
+        for blk, (pdf1, pdf2) in zip(blocks, fetched)
+    ]
 
 
-def compare_topk_exact(
-    df: DataFrame,
-    spec: CompareSpec,
-    k: int,
-    *,
-    ascending: bool = True,
-    groups: list[MergeGroup] | None = None,
-) -> DataFrame:
-    """The exact top-k pairs (ties broken by output identity) as a local
-    relation, from the arrays of :func:`block_arrays`."""
+def topk_rows(spec: CompareSpec, arrays: list, k: int, ascending: bool) -> list[tuple]:
+    """The k best ``(tid1, tid2, gm_idx, score)`` rows of every candidate
+    pair of ``arrays`` (:func:`block_arrays`' shape), best first, ties by
+    output identity as in ``topk_exact``; a k no smaller than the pair
+    count returns every scored row."""
     gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
     parts, scores = [], []
-    for gms, (tids1, m1, v1), (tids2, m2, v2) in block_arrays(df, spec, groups):
+    for gms, (tids1, m1, v1), (tids2, m2, v2) in arrays:
         ia, ib = candidate_pairs(spec, tids1, tids2)
         s = score_pairs(spec.scorer, m1, m2, list(zip(v1, v2)), ia, ib)
         for j, gm in enumerate(gms):
@@ -104,4 +108,18 @@ def compare_topk_exact(
         gi, tids1, ia, tids2, ib = parts[part]
         j = i - starts[part]
         out.append((tids1[ia[j]], tids2[ib[j]], gi, score[i]))
-    return local_frame(df.sparkSession, output_rows(spec, out), output_schema(df, spec))
+    return out
+
+
+def compare_topk_exact(
+    df: DataFrame,
+    spec: CompareSpec,
+    k: int,
+    *,
+    ascending: bool = True,
+    groups: list[MergeGroup] | None = None,
+) -> DataFrame:
+    """The exact top-k pairs (ties broken by output identity) as a local
+    relation, from the arrays of :func:`block_arrays`."""
+    rows = topk_rows(spec, block_arrays(df, spec, groups), k, ascending)
+    return local_frame(df.sparkSession, output_rows(spec, rows), output_schema(df, spec))

@@ -31,15 +31,6 @@ def diff_np(v1: np.ndarray, v2: np.ndarray, p: int) -> np.ndarray:
     return d * d if p == 2 else d**p
 
 
-def score_np(scorer: Scorer, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Score two *aligned* measure vectors. NaN when nothing matches."""
-    if v1.size == 0:
-        return float("nan")
-    d = diff_np(v1, v2, scorer.p)
-    fn = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}[scorer.agg]
-    return float(fn(d))
-
-
 #: floats in one temporary of :func:`score_pairs`; a slice holds this many
 #: (pair, grouping value) cells, so its working set stays a few hundred KB
 SLICE_FLOATS = 1 << 14
@@ -92,28 +83,11 @@ def score_pairs(scorer: Scorer, m1: np.ndarray, m2: np.ndarray, values: list, ia
     return out
 
 
-def align(k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray):
-    """Inner-join two (sorted, unique) key/value vectors on key.
-
-    Tuples with non-matching grouping values are ignored (Def. 7).
-    Returns the aligned value vectors.
-    """
-    _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-    return v1[i1], v2[i2]
-
-
-def score_pair(scorer: Scorer, k1, v1, k2, v2) -> float:
-    """Align two trends on grouping value and score them."""
-    a1, a2 = align(np.asarray(k1), np.asarray(v1, dtype=np.float64),
-                   np.asarray(k2), np.asarray(v2, dtype=np.float64))
-    return score_np(scorer, a1, a2)
-
-
 def score_from_sum(scorer: Scorer, total, count):
     """Convert SUM-of-DIFF value(s) and matched count(s) (> 0) to the scorer's scale.
 
-    Used by the bound kernels (Φp and the client baselines), whose bounds
-    are derived on SUM; works on scalars and numpy arrays alike.
+    Used by Φp's bound kernel, whose bounds are derived on SUM; works on
+    scalars and numpy arrays alike.
     """
     if scorer.agg == "SUM":
         return total

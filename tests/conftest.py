@@ -60,6 +60,31 @@ def warehouses_df(spark):
     df.unpersist()
 
 
+@pytest.fixture(scope="session")
+def dup_df(spark):
+    """City trends over 12 weeks where b copies a and d copies c, so (a|b,
+    c|d) pairs tie four ways and (a|b, e), (c|d, e) two ways; one row per
+    cell keeps AVG exact."""
+    import numpy as np
+    import pandas as pd
+
+    weeks = np.arange(12)
+    base = {
+        "a": 10 + 2.5 * (weeks % 4),
+        "c": 14 - 1.5 * (weeks % 3),
+        "e": 30 + 0.5 * weeks,
+    }
+    base["b"], base["d"] = base["a"], base["c"]
+    pdf = pd.DataFrame(
+        [(city, int(w), float(v)) for city, vals in base.items() for w, v in zip(weeks, vals)],
+        columns=["city", "week", "revenue"],
+    )
+    df = spark.createDataFrame(pdf).cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
 def check_against_oracle(result_df, spec, base_df):
     """Diff a COMPARE result against DuckDB running the verbose SQL."""
     assert_equivalent(result_df, verbose_sql(spec, "R", dialect="duckdb"), R=base_df)

@@ -7,6 +7,8 @@ from repro.baselines.middleware import compare_middleware
 from repro.baselines.naive_sql import compare_naive_sql, compare_topk_naive_sql
 from repro.baselines.udf import compare_udf
 from repro.core.compare import compare, compare_topk, topk_exact
+from repro.core.pairs import output_schema
+from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 
 from .conftest import check_against_oracle
 from .spec_catalog import CATALOG, fixture_for
@@ -44,23 +46,63 @@ def test_middleware_matches_compare(request, name):
     assert a["score"].round(5).tolist() == pytest.approx(b["score"].round(5).tolist())
 
 
+def _assert_same_rows(got: pd.DataFrame, exp: pd.DataFrame):
+    """Same pairs in the same order (identity exact), scores to 6 places."""
+    ids = [c for c in exp.columns if c != "score"]
+    assert [tuple(r) for r in got[ids].itertuples(index=False)] == [
+        tuple(r) for r in exp[ids].itertuples(index=False)
+    ]
+    assert got["score"].round(6).tolist() == pytest.approx(exp["score"].round(6).tolist())
+
+
+def _exact(df, spec, k, ascending):
+    return topk_exact(compare(df, spec, "trendwise"), k, ascending).toPandas()
+
+
 @pytest.mark.parametrize("name", ["q2", "q4", "max_scorer", "min_scorer"])
 @pytest.mark.parametrize("ascending", [True, False])
 def test_udf_topk_matches_exact(request, name, ascending):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     got = compare_udf(df, spec, k=3, ascending=ascending).toPandas()
-    exp = topk_exact(compare(df, spec, "trendwise"), 3, ascending).toPandas()
-    assert sorted(got["score"].round(6)) == pytest.approx(sorted(exp["score"].round(6)))
+    _assert_same_rows(got, _exact(df, spec, 3, ascending))
 
 
 @pytest.mark.parametrize("name", ["q2", "q4", "max_scorer", "min_scorer"])
 def test_middleware_topk_matches_exact(request, name):
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
-    got = compare_middleware(df, spec, k=3, ascending=True, bandwidth_mbps=None)
-    exp = topk_exact(compare(df, spec, "trendwise"), 3, True).toPandas()
-    assert sorted(got["score"].round(6)) == pytest.approx(sorted(exp["score"].round(6)))
+    for ascending in (True, False):
+        got = compare_middleware(df, spec, k=3, ascending=ascending, bandwidth_mbps=None)
+        _assert_same_rows(got, _exact(df, spec, 3, ascending))
+
+
+@pytest.mark.parametrize("agg", ["SUM", "MAX"])
+def test_client_topk_keeps_tie_order(dup_df, agg):
+    """Duplicated trends tie at the k-th score: both clients pick and order
+    the tied pairs by output identity, as ``topk_exact`` does."""
+    ts = TrendsetSpec((ConstraintTerm("city"),))
+    spec = CompareSpec(ts, ts, (("week", Measure("AVG", "revenue")),), Scorer(agg, 1))
+    for ascending in (True, False):
+        for k in range(1, 7):
+            exp = _exact(dup_df, spec, k, ascending)
+            assert len(exp) == k
+            _assert_same_rows(compare_udf(dup_df, spec, k=k, ascending=ascending).toPandas(), exp)
+            got = compare_middleware(dup_df, spec, k=k, ascending=ascending, bandwidth_mbps=None)
+            _assert_same_rows(got, exp)
+
+
+def test_client_empty_trendset_gives_empty_result(sales_df):
+    none = TrendsetSpec((ConstraintTerm("region", "Atlantis"), ConstraintTerm("city")))
+    europe = TrendsetSpec((ConstraintTerm("region", "Europe"), ConstraintTerm("city")))
+    for t1, t2 in ((none, europe), (europe, none), (none, none)):
+        spec = CompareSpec(t1, t2, (("week", Measure("AVG", "revenue")),))
+        for k in (None, 3):
+            udf = compare_udf(sales_df, spec, k=k)
+            assert udf.collect() == []
+            assert udf.schema == output_schema(sales_df, spec)
+            mw = compare_middleware(sales_df, spec, k=k, bandwidth_mbps=None)
+            assert mw.empty and list(mw.columns) == output_schema(sales_df, spec).names
 
 
 def test_naive_sql_topk_matches_compare_topk(request, flight_df):
@@ -89,8 +131,6 @@ def test_verbose_sql_tells_inputs_apart_by_column_names(sales_df):
     semantic hash), but must not share a view: each call reads its own
     columns, renamed or swapped."""
     from pyspark.sql import functions as F
-
-    from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
 
     def over(df, measure):
         ts = TrendsetSpec((ConstraintTerm("region", "Asia"), ConstraintTerm("city")))

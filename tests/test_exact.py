@@ -5,10 +5,11 @@ Spark-job budget."""
 import pandas as pd
 import pytest
 
+from repro.baselines import compare_middleware, compare_udf
 from repro.core import scorer
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.exact import compare_topk_exact
-from repro.core.pairs import output_schema
+from repro.core.pairs import local_frame, output_schema
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 from repro.core.sql_gen import verbose_sql
 from repro.oracle import assert_equivalent
@@ -21,6 +22,18 @@ ALL_PAIRS = 10_000  # more than any catalog spec has
 
 def _split(rows):
     return [tuple(r)[:-1] for r in rows], [r["score"] for r in rows]
+
+
+def _middleware(df, spec, **kw):
+    """The middleware's pandas result as a relation with the output schema."""
+    pdf = compare_middleware(df, spec, bandwidth_mbps=None, **kw)
+    return local_frame(df.sparkSession, list(pdf.itertuples(index=False, name=None)),
+                       output_schema(df, spec))
+
+
+def _clients(df, spec, k):
+    """Both client baselines' results for top-``k`` (None: all pairs)."""
+    return compare_udf(df, spec, k=k), _middleware(df, spec, k=k)
 
 
 def _assert_same_topk(got, exp, spec):
@@ -106,6 +119,10 @@ def test_null_grouping_value_matches_nothing(null_week_df, agg):
     assert_equivalent(out, verbose_sql(spec, "R", dialect="duckdb"), R=null_week_df)
     assert_equivalent(compare(null_week_df, spec, "trendwise"),
                       verbose_sql(spec, "R", dialect="duckdb"), R=null_week_df)
+    for client in _clients(null_week_df, spec, None):
+        assert_equivalent(client, verbose_sql(spec, "R", dialect="duckdb"), R=null_week_df)
+    for client in _clients(null_week_df, spec, 3):
+        assert client.count() == 3
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +158,18 @@ def test_null_vary_value_is_a_trend_compared_as_sql_does(null_city_df, name, agg
     """A NULL vary value is a trend of its own (as in a group-by); a pair
     whose pair condition it makes NULL is dropped, as the join drops it;
     ties order it first, as Spark's ascending sort does. ``compare`` runs
-    Φp under SUM and the exact top-k under MAX."""
+    Φp under SUM and the exact top-k under MAX, as the client baselines'
+    top-k does."""
     t1, t2 = NULL_VARY_SPECS[name]
     spec = CompareSpec(t1, t2, (("week", Measure("AVG", "revenue")),), Scorer(agg, 1))
+    sql = verbose_sql(spec, "R", dialect="duckdb")
     exact = topk_exact(compare(null_city_df, spec, "trendwise"), ALL_PAIRS).collect()
     for strategy in ("trendwise", "optimized", "compare"):
         got = compare_topk(null_city_df, spec, ALL_PAIRS, strategy=strategy)
-        assert_equivalent(got, verbose_sql(spec, "R", dialect="duckdb"), R=null_city_df)
+        assert_equivalent(got, sql, R=null_city_df)
         _assert_same_topk(got.collect(), exact, spec)
+    for client in (*_clients(null_city_df, spec, None), *_clients(null_city_df, spec, ALL_PAIRS)):
+        assert_equivalent(client, sql, R=null_city_df)
 
 
 def test_nan_measure_drops_its_pairs_on_both_paths(spark):

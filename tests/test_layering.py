@@ -14,6 +14,9 @@
   no module-level name is bound to a list, dict or set (a display, a
   comprehension or a ``list()``/``dict()``/``set()`` call); ``__all__``
   is exempt. Per-call state lives in the call (or its context).
+* No scoring in the client baselines: no module in ``baselines`` imports
+  ``numpy``. Trends are scored and ranked by ``core``'s driver kernels,
+  so the client cannot grow a private copy of the pair logic.
 """
 import ast
 from pathlib import Path
@@ -229,3 +232,40 @@ def test_detector_flags_module_mutables(tmp_path):
         "m.py:5: SEEN",
         "m.py:6: A, B",
     ]
+
+
+def numpy_imports(path: Path) -> list[str]:
+    """``import numpy`` / ``from numpy… import`` statements of one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_baselines_score_through_core():
+    files = sorted((SRC / "baselines").rglob("*.py"))
+    assert {"client_core.py", "udf.py", "middleware.py"} <= {f.name for f in files}
+    assert [hit for f in files for hit in numpy_imports(f)] == []
+
+
+def test_detector_flags_numpy_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import numpy as np\n"
+        "import pandas as pd, numpy.linalg\n"
+        "from numpy import intersect1d\n"
+        "from numpy.lib import stride_tricks\n"
+        "from .numpy import x\n"
+        "import numpyro\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    return numpy\n"
+    )
+    assert numpy_imports(src) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:8"]

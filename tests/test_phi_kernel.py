@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pruning import SegAgg, bound_pairs
-from repro.core.scorer import score_np
 from repro.core.spec import Scorer
+
+from .pair_reference import score_np
 
 
 def _segagg(member, vals, edges):

@@ -368,30 +368,9 @@ class TestPruneStatsInvariants:
 
 
 class TestTies:
-    """Duplicated trends tie at the k-th score; every strategy must pick the
-    same pairs, ordered by (score, output identity) as topk_exact does."""
-
-    @pytest.fixture(scope="class")
-    def dup_df(self, spark):
-        import pandas as pd
-
-        weeks = np.arange(12)
-        # b copies a and d copies c, so (a|b, c|d) pairs tie four ways and
-        # (a|b, e), (c|d, e) two ways; one row per cell keeps AVG exact
-        base = {
-            "a": 10 + 2.5 * (weeks % 4),
-            "c": 14 - 1.5 * (weeks % 3),
-            "e": 30 + 0.5 * weeks,
-        }
-        base["b"], base["d"] = base["a"], base["c"]
-        pdf = pd.DataFrame(
-            [(city, int(w), float(v)) for city, vals in base.items() for w, v in zip(weeks, vals)],
-            columns=["city", "week", "revenue"],
-        )
-        df = spark.createDataFrame(pdf).cache()
-        df.count()
-        yield df
-        df.unpersist()
+    """Duplicated trends (``dup_df``) tie at the k-th score; every strategy
+    must pick the same pairs, ordered by (score, output identity) as
+    topk_exact does."""
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("ascending", [True, False])

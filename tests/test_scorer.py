@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import scorer
-from repro.core.scorer import (
-    align, dense, diff_np, score_from_sum, score_np, score_pair, score_pairs,
-)
+from repro.core.scorer import dense, diff_np, score_from_sum, score_pairs
 from repro.core.spec import Measure, Scorer
+
+from .pair_reference import align, score_np, score_pair
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec = st.lists(finite, min_size=1, max_size=40)
@@ -64,6 +64,8 @@ class TestTheorem1:
 
 
 class TestScoreNp:
+    """The per-pair reference the kernels are checked against."""
+
     @pytest.mark.parametrize(
         "agg,expected",
         [("SUM", 14.0), ("AVG", 14.0 / 3), ("MIN", 1.0), ("MAX", 9.0)],
