@@ -80,21 +80,12 @@ def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | No
     ]
 
 
-def topk_rows(spec: CompareSpec, arrays: list, k: int, ascending: bool) -> list[tuple]:
-    """The k best ``(tid1, tid2, gm_idx, score)`` rows of every candidate
-    pair of ``arrays`` (:func:`block_arrays`' shape), best first, ties by
-    output identity as in ``topk_exact``; a k no smaller than the pair
-    count returns every scored row."""
-    gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
-    parts, scores = [], []
-    for gms, (tids1, m1, v1), (tids2, m2, v2) in arrays:
-        ia, ib = candidate_pairs(spec, tids1, tids2)
-        s = score_pairs(spec.scorer, m1, m2, list(zip(v1, v2)), ia, ib)
-        for j, gm in enumerate(gms):
-            ok = ~np.isnan(s[:, j])  # no matched key, or a matched NaN: no row
-            parts.append((gm_index[gm], tids1, ia[ok], tids2, ib[ok]))
-            scores.append(s[ok, j])
-    score = np.concatenate(scores)
+def select_rows(spec: CompareSpec, parts: list, score: np.ndarray, k: int, ascending: bool) -> list[tuple]:
+    """The k best of the pair rows ``parts`` (``(gi, tids1, ia, tids2, ib)``,
+    as :func:`~repro.core.pairs.identity_keys` takes them) with exact scores
+    ``score``, as ``(tid1, tid2, gm_idx, score)`` rows, best first, ties by
+    output identity as in ``topk_exact``; a k no smaller than the row count
+    returns every row. Φp ranks through it too."""
     lead = score if ascending else -score
     rows = np.arange(len(lead))
     if 0 < k < len(lead):  # only rows no worse than the k-th best can be in the top k
@@ -109,6 +100,21 @@ def topk_rows(spec: CompareSpec, arrays: list, k: int, ascending: bool) -> list[
         j = i - starts[part]
         out.append((tids1[ia[j]], tids2[ib[j]], gi, score[i]))
     return out
+
+
+def topk_rows(spec: CompareSpec, arrays: list, k: int, ascending: bool) -> list[tuple]:
+    """:func:`select_rows` over every scored candidate pair of ``arrays``
+    (:func:`block_arrays`' shape)."""
+    gm_index = {gm: gi for gi, gm in enumerate(spec.gms)}
+    parts, scores = [], []
+    for gms, (tids1, m1, v1), (tids2, m2, v2) in arrays:
+        ia, ib = candidate_pairs(spec, tids1, tids2)
+        s = score_pairs(spec.scorer, m1, m2, list(zip(v1, v2)), ia, ib)
+        for j, gm in enumerate(gms):
+            ok = ~np.isnan(s[:, j])  # no matched key, or a matched NaN: no row
+            parts.append((gm_index[gm], tids1, ia[ok], tids2, ib[ok]))
+            scores.append(s[ok, j])
+    return select_rows(spec, parts, np.concatenate(scores), k, ascending)
 
 
 def compare_topk_exact(

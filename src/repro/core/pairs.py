@@ -1,9 +1,13 @@
-"""Shared pair-join machinery for COMPARE execution strategies.
+"""Shared pair machinery for COMPARE execution strategies.
 
 Every strategy renames the per-side aggregated relations into the
-canonical ``l_``/``r_`` namespace and joins them under the same pair
-condition (trend-identity inequality / symmetric dedup), so the basic,
-merged, trendwise and pruned plans all emit identical output relations.
+canonical ``l_``/``r_`` namespace, so all of them emit identical output
+relations. The pair rule is the verbose SQL's text
+(:func:`repro.core.sql_gen.pair_sql`), which the Spark joins render over
+the ``l_``/``r_`` columns (:func:`pair_condition`); :func:`candidate_pairs`
+is its numpy copy for the driver, checked against the join by
+``tests/test_pairs.py``. :func:`identity_keys` is the one tie order; only
+:func:`repro.core.exact.select_rows` calls it.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from .spec import CompareSpec, TrendsetSpec, output_cols, side_prefix
+from .sql_gen import pair_sql
 
 
 def rename_side(rel: DataFrame, ts: TrendsetSpec, side: int, extra: dict[str, str]) -> DataFrame:
@@ -28,47 +33,18 @@ def rename_side(rel: DataFrame, ts: TrendsetSpec, side: int, extra: dict[str, st
     return rel
 
 
-def _constraint_fields(spec: CompareSpec, side: int) -> list[Column]:
-    """The full constraint tuple of a side, ordered by column name.
-
-    Varying columns come from the (renamed) relation; fixed terms are
-    literals. Used for trend-identity comparison between sides. Scalar
-    comparisons (not structs) are used downstream so Spark's numeric
-    type coercion applies to literals.
-    """
-    ts = spec.t1 if side == 1 else spec.t2
-    pre = side_prefix(side)
-    fields = []
-    for col in sorted(ts.cols):
-        term = next(t for t in ts.terms if t.col == col)
-        fields.append(F.col(pre + col) if term.varies else F.lit(term.value))
-    return fields
-
-
-def _lex_lt(a: list[Column], b: list[Column]) -> Column:
-    """Lexicographic a < b over equal-length field lists."""
-    cond = a[-1] < b[-1]
-    for x, y in zip(reversed(a[:-1]), reversed(b[:-1])):
-        cond = (x < y) | ((x == y) & cond)
-    return cond
-
-
 def pair_condition(spec: CompareSpec) -> Column | None:
-    """Join condition between the two (renamed) sides, or None for cross."""
-    a = _constraint_fields(spec, 1)
-    b = _constraint_fields(spec, 2)
-    if spec.dedup_symmetric:
-        return _lex_lt(a, b)
-    if spec.exclude_equal:
-        eq = a[0] == b[0]
-        for x, y in zip(a[1:], b[1:]):
-            eq = eq & (x == y)
-        return ~eq
-    return None
+    """Join condition between the two (renamed) sides, or None for cross:
+    the verbose SQL's pair condition (:func:`~repro.core.sql_gen.pair_sql`)
+    over the ``l_``/``r_`` columns."""
+    cond = pair_sql(
+        spec, lambda c: f"`{side_prefix(1)}{c}`", lambda c: f"`{side_prefix(2)}{c}`", "spark"
+    )
+    return None if cond is None else F.expr(cond)
 
 
 def _constraint_tuple(ts: TrendsetSpec, tid: tuple) -> tuple:
-    """A trend's full constraint tuple, ordered by column name (cf. _constraint_fields)."""
+    """A trend's full constraint tuple, ordered by column name, as in :func:`pair_sql`."""
     vary = iter(tid)
     vals = {t.col: next(vary) if t.varies else t.value for t in ts.terms}
     return tuple(vals[c] for c in sorted(ts.cols))
@@ -114,7 +90,7 @@ def candidate_pairs(
     lt, eq = zip(*(
         _column_compare([c[p] for c in c1], [c[p] for c in c2]) for p in range(len(spec.t1.cols))
     ))
-    if spec.dedup_symmetric:  # cf. _lex_lt
+    if spec.dedup_symmetric:  # the lexicographic ``<`` of pair_sql
         keep = lt[-1]
         for x_lt, x_eq in zip(reversed(lt[:-1]), reversed(eq[:-1])):
             keep = np.maximum(x_lt, np.minimum(x_eq, keep))

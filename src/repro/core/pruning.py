@@ -1,6 +1,6 @@
 """The Φp pruning physical operator for DIFF-based comparison (paper §5).
 
-Fetch → Summarize → Bound → Prune → refine in rounds:
+Fetch → Summarize → Bound → Prune → refine in rounds → Select:
 
 1. **Fetch** — each block side is read once, through Arrow, into dense
    (trends × grouping values) key masks and value arrays
@@ -34,11 +34,14 @@ Fetch → Summarize → Bound → Prune → refine in rounds:
    numpy slices grouped by (g, m) and segment, then recomputes T and
    prunes again. Rounds stop when no live pair has an unrefined segment,
    so there are at most #segments rounds.
+6. **Select** — the unpruned pairs, now exact, are ranked by the exact
+   top-k's selection (:func:`repro.core.exact.select_rows`), ties by
+   output identity. A pair is pruned only when its optimistic bound lies
+   below T − slack, so every pair tied with the k-th score reaches it.
 
 The TState of a pair is a row index into columns (:class:`_Phi`):
 per-segment bounds and matched counts, pruned flag, optimistic /
-pessimistic bound. Rows are sorted by output identity, so ties at equal
-scores break as in :func:`repro.core.compare.topk_exact`.
+pessimistic bound, rows in block order.
 
 Everything after the fetch runs on the driver over numpy arrays
 (:func:`phi_topk`), so the Spark jobs of a call are exactly those of
@@ -56,8 +59,8 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from .aggregates import MergeGroup, persisted
-from .exact import block_arrays
-from .pairs import candidate_pairs, identity_keys, local_frame, output_rows, output_schema
+from .exact import block_arrays, select_rows
+from .pairs import candidate_pairs, local_frame, output_rows, output_schema
 from .scorer import SLICE_FLOATS, diff_np, score_from_sum
 from .spec import CompareSpec
 
@@ -165,8 +168,9 @@ def bound_pairs(s1: SegAgg, s2: SegAgg, ia: np.ndarray, ib: np.ndarray, p: int):
 class _Phi:
     """Driver-side state of one Φp invocation across all (g, m).
 
-    The TState of pair ``i`` is row ``i`` of the columns below; rows are
-    sorted by output identity (l_ trend, r_ trend, grouping, measure).
+    The TState of pair ``i`` is row ``i`` of the columns below, in block
+    order; :func:`phi_topk` ranks the unpruned rows through the shared
+    selection :func:`repro.core.exact.select_rows`.
     """
 
     def __init__(self, spec: CompareSpec, k: int, ascending: bool, tuples_per_update: int | None,
@@ -256,37 +260,6 @@ class _Phi:
                 self.stats.pruned_refining += len(cut)
             live = live[pending[live].any(axis=1)]
 
-    def topk(self) -> np.ndarray:
-        """Rows of the top-k unpruned pairs, best first (ties by identity);
-        call after :meth:`refine_rounds`, when every such pair is exact."""
-        alive = np.flatnonzero(~self.pruned)
-        return alive[np.argsort(-self.opt[alive], kind="stable")][: self.k]
-
-
-def _bound_all(spec: CompareSpec, sides: list):
-    """TState columns ``(gm, ia, ib, matched, lb, ub)`` of every candidate
-    pair with matches, rows sorted by output identity (l_ trend, r_ trend,
-    grouping, measure) — the tie order of ``topk_exact``."""
-    parts, bounds = [], []
-    for gi, ((tids1, aggs1), (tids2, aggs2)) in enumerate(sides):
-        gm = spec.gms[gi]
-        ia, ib = candidate_pairs(spec, tids1, tids2)
-        matched, lb, ub = bound_pairs(aggs1[gm], aggs2[gm], ia, ib, spec.scorer.p)
-        keep = matched.sum(axis=1) > 0  # no matching grouping values: no score (Def. 7)
-        parts.append((gi, tids1, ia[keep], tids2, ib[keep]))
-        bounds.append((matched[keep], lb[keep], ub[keep]))
-    gm = np.concatenate([np.full(len(ia), gi) for gi, _, ia, _, _ in parts])
-    ia = np.concatenate([ia for _, _, ia, _, _ in parts])
-    ib = np.concatenate([ib for _, _, _, _, ib in parts])
-    # groupings with fewer segments are padded with empty ones
-    n_seg = max(m.shape[1] for m, _, _ in bounds)
-    matched, lb, ub = (
-        np.concatenate([np.pad(a, ((0, 0), (0, n_seg - a.shape[1]))) for a in c])
-        for c in zip(*bounds)
-    )
-    order = np.lexsort(identity_keys(spec, parts))
-    return gm[order], ia[order], ib[order], matched[order], lb[order], ub[order]
-
 
 def phi_topk(
     spec: CompareSpec, k: int, ascending: bool, arrays: list, *,
@@ -294,12 +267,13 @@ def phi_topk(
 ) -> tuple[list[tuple], PruneStats]:
     """Φp over the dense arrays of :func:`~repro.core.exact.block_arrays`.
 
-    Returns the top-k ``(tid1, tid2, gm_idx, score)`` rows, best first,
-    ties by output identity, and the call's :class:`PruneStats`. Without
+    Walks the blocks as :func:`~repro.core.exact.topk_rows` does and
+    returns the top-k rows of :func:`~repro.core.exact.select_rows` and
+    the call's :class:`PruneStats`. Without
     early termination every survivor of the initial prune is refined to
     its exact score (the ``pruned`` ablation level).
     """
-    sides: list = [None] * len(spec.gms)  # gi -> ((tids1, aggs1), (tids2, aggs2))
+    parts, bounds = [], []  # per (g, m), in block order
     vecs: list = [None] * len(spec.gms)  # gi -> (v1, m1, v2, m2, edges)
     n_trends = n_floats = 0
     for gms, (tids1, m1, vals1), (tids2, m2, vals2) in arrays:
@@ -308,27 +282,32 @@ def phi_topk(
         n = (len(tids2) + (0 if shared else len(tids1))) * len(gms)
         n_trends += n
         n_floats += 4 * (len(edges) - 1) * n
+        ia, ib = candidate_pairs(spec, tids1, tids2)
         for gm, v1, v2 in zip(gms, vals1, vals2):
             a2 = seg_agg(m2, v2, edges)
             a1 = a2 if shared else seg_agg(m1, v1, edges)
+            # ---- Bound: every candidate pair of the (g, m) at once ----------
+            matched, lb, ub = bound_pairs(a1, a2, ia, ib, spec.scorer.p)
+            keep = matched.sum(axis=1) > 0  # no matching grouping values: no score (Def. 7)
+            nan1, nan2 = m1 & np.isnan(v1), m2 & np.isnan(v2)
+            if nan1.any() or nan2.any():  # a matched NaN measure gives a pair no score
+                hits = np.hstack([nan1, m1]).astype(np.float64) @ np.hstack([m2, nan2]).T
+                keep &= hits[ia, ib] == 0
             gi = spec.gms.index(gm)
-            sides[gi] = ((tids1, {gm: a1}), (tids2, {gm: a2}))
+            parts.append((gi, tids1, ia[keep], tids2, ib[keep]))
+            bounds.append((matched[keep], lb[keep], ub[keep]))
             vecs[gi] = (v1, m1, v2, m2, edges)
 
-    # ---- Bound: every candidate pair at once, per (g, m) ------------------
-    cols = _bound_all(spec, sides)
-    gm, ia, ib = cols[:3]
-    # a matched NaN measure gives a pair no score: one product per (g, m)
-    scored = np.ones(len(gm), dtype=bool)
-    for gi, (v1, m1, v2, m2, _) in enumerate(vecs):
-        nan1, nan2 = m1 & np.isnan(v1), m2 & np.isnan(v2)
-        if nan1.any() or nan2.any():
-            on = np.flatnonzero(gm == gi)
-            hits = np.hstack([nan1, m1]).astype(np.float64) @ np.hstack([m2, nan2]).T
-            scored[on] = hits[ia[on], ib[on]] == 0
-    if not scored.all():
-        cols = tuple(c[scored] for c in cols)
-    phi = _Phi(spec, k, ascending, tuples_per_update, *cols)
+    # groupings with fewer segments are padded with empty ones
+    n_seg = max(m.shape[1] for m, _, _ in bounds)
+    matched, lb, ub = (
+        np.concatenate([np.pad(a, ((0, 0), (0, n_seg - a.shape[1]))) for a in c])
+        for c in zip(*bounds)
+    )
+    gm = np.concatenate([np.full(len(ia), gi) for gi, _, ia, _, _ in parts])
+    ia = np.concatenate([ia for _, _, ia, _, _ in parts])
+    ib = np.concatenate([ib for _, _, _, _, ib in parts])
+    phi = _Phi(spec, k, ascending, tuples_per_update, gm, ia, ib, matched, lb, ub)
     phi.stats.total_trends, phi.stats.summary_floats = n_trends, n_floats
     if k <= 0:
         return [], phi.stats
@@ -340,14 +319,16 @@ def phi_topk(
         on = alive & (phi.gm == gi)
         phi.stats.surviving_trends += len(np.unique(phi.ia[on])) + len(np.unique(phi.ib[on]))
 
-    # ---- Refine in rounds, then pick the top k -----------------------------
+    # ---- Refine in rounds, then select the top k of the exact survivors ----
     phi.refine_rounds(vecs, early_termination)
-    rows = []
-    for i in phi.topk():
-        (tids1, _), (tids2, _) = sides[phi.gm[i]]
-        score = score_from_sum(spec.scorer, phi.lb[i].sum(), phi.cnt[i])
-        rows.append((tids1[phi.ia[i]], tids2[phi.ib[i]], int(phi.gm[i]), score))
-    return rows, phi.stats
+    alive = ~phi.pruned
+    ends = np.cumsum([len(ia) for _, _, ia, _, _ in parts])[:-1]
+    parts = [
+        (gi, tids1, ia[on], tids2, ib[on])
+        for (gi, tids1, ia, tids2, ib), on in zip(parts, np.split(alive, ends))
+    ]
+    score = score_from_sum(spec.scorer, phi.lb[alive].sum(axis=1), phi.cnt[alive])
+    return select_rows(spec, parts, score, k, ascending), phi.stats
 
 
 @persisted()

@@ -17,29 +17,40 @@ measure, score`` so results are directly comparable.
 """
 from __future__ import annotations
 
+import datetime
+from typing import Callable
+
 from .spec import CompareSpec, GM, TrendsetSpec, side_prefix
 
 
-def _lit(v) -> str:
+def _lit(v, dialect: str) -> str:
+    if isinstance(v, datetime.date):
+        return f"{'TIMESTAMP' if isinstance(v, datetime.datetime) else 'DATE'} '{v}'"
     if isinstance(v, str):
+        if dialect == "spark":  # Spark's string literals read a backslash as an escape
+            v = v.replace("\\", "\\\\")
         return "'" + v.replace("'", "''") + "'"
     return repr(v)
 
 
-def _constraint_exprs(spec: CompareSpec, side: int, alias: str) -> list[str]:
-    ts = spec.t1 if side == 1 else spec.t2
-    exprs = []
-    for col in sorted(ts.cols):
-        term = next(t for t in ts.terms if t.col == col)
-        exprs.append(f"{alias}.{col}" if term.varies else _lit(term.value))
-    return exprs
+def pair_sql(
+    spec: CompareSpec, ref1: Callable[[str], str], ref2: Callable[[str], str], dialect: str
+) -> str | None:
+    """The trend-pair condition as SQL text, or None for a cross product.
 
+    ``ref1``/``ref2`` render a side's varying constraint column; fixed terms
+    are ``dialect`` literals. Trends compare by full constraint tuple,
+    ordered by column name, expanded to scalar comparisons so every engine
+    applies numeric type coercion to literals and three-valued logic to
+    NULL vary values.
+    """
+    def tuple_of(ts: TrendsetSpec, ref: Callable[[str], str]) -> list[str]:
+        terms = {t.col: t for t in ts.terms}
+        return [
+            ref(c) if terms[c].varies else _lit(terms[c].value, dialect) for c in sorted(ts.cols)
+        ]
 
-def _pair_cond(spec: CompareSpec) -> str | None:
-    """Trend-identity condition, expanded to scalar comparisons so both
-    dialects apply numeric type coercion to literals."""
-    a = _constraint_exprs(spec, 1, "a")
-    b = _constraint_exprs(spec, 2, "b")
+    a, b = tuple_of(spec.t1, ref1), tuple_of(spec.t2, ref2)
     if spec.dedup_symmetric:
         cond = f"{a[-1]} < {b[-1]}"
         for x, y in zip(reversed(a[:-1]), reversed(b[:-1])):
@@ -51,9 +62,9 @@ def _pair_cond(spec: CompareSpec) -> str | None:
     return None
 
 
-def _side_subquery(table: str, ts: TrendsetSpec, gm: GM) -> str:
+def _side_subquery(table: str, ts: TrendsetSpec, gm: GM, dialect: str) -> str:
     g, m = gm
-    where = " AND ".join(f"{t.col} = {_lit(t.value)}" for t in ts.fixed)
+    where = " AND ".join(f"{t.col} = {_lit(t.value, dialect)}" for t in ts.fixed)
     keys = ", ".join(list(ts.vary_cols) + [g])
     sel = (", ".join(ts.vary_cols) + ", ") if ts.vary_cols else ""
     q = (
@@ -75,15 +86,15 @@ def _gm_subquery(spec: CompareSpec, gm: GM, table: str, dialect: str) -> str:
                 l_sel.append(f"{alias}.{t.col} AS {pre}{t.col}")
                 out_keys.append(pre + t.col)
             else:
-                l_sel.append(f"{_lit(t.value)} AS {pre}{t.col}")
+                l_sel.append(f"{_lit(t.value, dialect)} AS {pre}{t.col}")
     cond = f"a.__g = b.__g"
-    pc = _pair_cond(spec)
+    pc = pair_sql(spec, lambda c: f"a.{c}", lambda c: f"b.{c}", dialect)
     if pc:
         cond += f" AND {pc}"
     inner = (
         f"SELECT {', '.join(l_sel)}, POW(ABS(a.__v - b.__v), {p}) AS __diff "
-        f"FROM ({_side_subquery(table, spec.t1, gm)}) a "
-        f"JOIN ({_side_subquery(table, spec.t2, gm)}) b ON {cond}"
+        f"FROM ({_side_subquery(table, spec.t1, gm, dialect)}) a "
+        f"JOIN ({_side_subquery(table, spec.t2, gm, dialect)}) b ON {cond}"
     )
     const_sel = []
     for side, ts in ((1, spec.t1), (2, spec.t2)):
@@ -94,7 +105,7 @@ def _gm_subquery(spec: CompareSpec, gm: GM, table: str, dialect: str) -> str:
     gq = '"grouping"' if dialect == "duckdb" else "`grouping`"
     outer_sel = (
         ", ".join(const_sel)
-        + f", {_lit(g)} AS {gq}, {_lit(m.name)} AS measure"
+        + f", {_lit(g, dialect)} AS {gq}, {_lit(m.name, dialect)} AS measure"
         + f", {spec.scorer.agg}(__diff) AS score"
     )
     # group by every constraint output column (fixed ones are constants, but

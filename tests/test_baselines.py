@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.middleware import compare_middleware
 from repro.baselines.naive_sql import compare_naive_sql, compare_topk_naive_sql
 from repro.baselines.udf import compare_udf
+from repro.core.aggregates import gm_relations, plan_vector_blocks
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.pairs import output_schema
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
@@ -173,6 +174,26 @@ def test_middleware_fetches_shared_aggregate_once(request, monkeypatch, name, fe
     monkeypatch.setattr(mw, "_fetch", counting_fetch)
     compare_middleware(df, spec, bandwidth_mbps=None)
     assert len(calls) == fetches_per_gm * len(spec.gms)
+
+
+def test_udf_ships_shared_aggregate_once(monkeypatch, flight_df):
+    """Identical trendsets share one aggregate per (g, m): the UDF's input
+    carries each of its rows once (448 on q2, not 448 per side), and the
+    result still matches the oracle."""
+    _, spec = CATALOG["q2"]
+    rels = gm_relations(plan_vector_blocks(flight_df, spec), spec)
+    assert all(rels[gm][0] is rels[gm][1] for gm in spec.gms)
+    frame = type(flight_df)
+    map_in_pandas, inputs = frame.mapInPandas, []
+
+    def recording(self, *args, **kw):
+        inputs.append(self)
+        return map_in_pandas(self, *args, **kw)
+
+    monkeypatch.setattr(frame, "mapInPandas", recording)
+    out = compare_udf(flight_df, spec)
+    assert [rel.count() for rel in inputs] == [sum(rels[gm][1].count() for gm in spec.gms)]
+    check_against_oracle(out, spec, flight_df)
 
 
 def test_middleware_bandwidth_slows_transfer(request, flight_df):

@@ -159,10 +159,13 @@ def test_null_vary_value_is_a_trend_compared_as_sql_does(null_city_df, name, agg
     whose pair condition it makes NULL is dropped, as the join drops it;
     ties order it first, as Spark's ascending sort does. ``compare`` runs
     Φp under SUM and the exact top-k under MAX, as the client baselines'
-    top-k does."""
+    top-k does. The lazy ``merged`` and ``trendwise`` plans join under
+    ``pair_condition``, the verbose SQL's pair predicate."""
     t1, t2 = NULL_VARY_SPECS[name]
     spec = CompareSpec(t1, t2, (("week", Measure("AVG", "revenue")),), Scorer(agg, 1))
     sql = verbose_sql(spec, "R", dialect="duckdb")
+    for lazy in ("merged", "trendwise"):
+        assert_equivalent(compare(null_city_df, spec, lazy), sql, R=null_city_df)
     exact = topk_exact(compare(null_city_df, spec, "trendwise"), ALL_PAIRS).collect()
     for strategy in ("trendwise", "optimized", "compare"):
         got = compare_topk(null_city_df, spec, ALL_PAIRS, strategy=strategy)

@@ -14,6 +14,9 @@
   no module-level name is bound to a list, dict or set (a display, a
   comprehension or a ``list()``/``dict()``/``set()`` call); ``__all__``
   is exempt. Per-call state lives in the call (or its context).
+* One tie order: only the exact path's selection
+  (``exact.select_rows``) calls ``pairs.identity_keys``, so the driver
+  paths rank pairs through one (score, output identity) order.
 * No scoring in the client baselines: no module in ``baselines`` imports
   ``numpy``. Trends are scored and ranked by ``core``'s driver kernels,
   so the client cannot grow a private copy of the pair logic.
@@ -70,21 +73,16 @@ def test_no_private_cross_module_imports():
     assert [hit for f in files for hit in private_imports(f)] == []
 
 
-LOCAL_RELATION_HELPER = "local_frame"
-
-
-def stray_create_dataframe(path: Path) -> list[str]:
-    """``createDataFrame`` calls in one source file outside the local-relation helper."""
+def calls_outside(path: Path, callee: str, allowed: str | None) -> list[str]:
+    """Calls of ``callee`` (a bare name or an attribute) in one source file
+    outside the function named ``allowed`` (None: anywhere)."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "createDataFrame"
-            and func != LOCAL_RELATION_HELPER
+        if isinstance(node, ast.Call) and func != allowed and callee in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
         ):
             found.append(f"{path.name}:{node.lineno}: in {func or '<module>'}")
         for child in ast.iter_child_nodes(node):
@@ -92,6 +90,14 @@ def stray_create_dataframe(path: Path) -> list[str]:
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return found
+
+
+LOCAL_RELATION_HELPER = "local_frame"
+
+
+def stray_create_dataframe(path: Path) -> list[str]:
+    """``createDataFrame`` calls in one source file outside the local-relation helper."""
+    return calls_outside(path, "createDataFrame", LOCAL_RELATION_HELPER)
 
 
 def test_driver_rows_become_local_relations():
@@ -113,6 +119,42 @@ def test_detector_flags_stray_create_dataframe(tmp_path):
         "BUCKETS = spark.createDataFrame([(1,)])\n"
     )
     assert stray_create_dataframe(src) == ["m.py:6: in inner", "m.py:8: in <module>"]
+
+
+TIE_ORDER_SELECTION = SRC / "core" / "exact.py", "select_rows"
+
+
+def test_one_tie_order():
+    """Only the exact path's selection orders pair rows by output identity."""
+    home, selection = TIE_ORDER_SELECTION
+    files = sorted(SRC.rglob("*.py"))
+    assert home in files
+    hits = [
+        hit for f in files
+        for hit in calls_outside(f, "identity_keys", selection if f == home else None)
+    ]
+    assert hits == []
+
+
+def test_detector_flags_identity_key_calls(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from repro.core import pairs\n"
+        "from repro.core.pairs import identity_keys\n"
+        "def select_rows(spec, parts):\n"
+        "    return identity_keys(spec, parts)\n"
+        "def topk(spec, parts):\n"
+        "    keys = pairs.identity_keys(spec, parts)\n"
+        "    def inner():\n"
+        "        return identity_keys(spec, parts)\n"
+        "    return keys, inner\n"
+        "ORDER = identity_keys\n"
+        "KEYS = identity_keys(None, [])\n"
+    )
+    assert calls_outside(src, "identity_keys", "select_rows") == [
+        "m.py:6: in topk", "m.py:8: in inner", "m.py:11: in <module>",
+    ]
+    assert calls_outside(src, "identity_keys", None)[0] == "m.py:4: in select_rows"
 
 
 def test_detector_flags_private_imports(tmp_path):

@@ -367,6 +367,29 @@ class TestPruneStatsInvariants:
                 assert st.tuples_compared <= matched_total
 
 
+def test_phi_enumerates_pairs_once_per_block(request, monkeypatch):
+    """Φp walks the blocks as the exact top-k does: one candidate-pair
+    enumeration per block, not one per (g, m)."""
+    import repro.core.pruning as P
+    from repro.core.exact import block_arrays
+
+    dataset, spec = CATALOG["q4"]
+    df = request.getfixturevalue(fixture_for(dataset))
+    arrays = block_arrays(df, spec, None)
+    assert len(arrays) < len(spec.gms)
+    enumerate_pairs, calls = P.candidate_pairs, []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_pairs(*args)
+
+    monkeypatch.setattr(P, "candidate_pairs", counting)
+    rows, _ = P.phi_topk(spec, 3, True, arrays, n_segments=None, tuples_per_update=None,
+                         early_termination=True)
+    assert len(rows) == 3
+    assert len(calls) == len(arrays)
+
+
 class TestTies:
     """Duplicated trends (``dup_df``) tie at the k-th score; every strategy
     must pick the same pairs, ordered by (score, output identity) as

@@ -65,3 +65,32 @@ class TestCrossDialect:
         df.createOrReplaceTempView("VR")
         spark_out = df.sparkSession.sql(verbose_sql(spec, "VR", dialect="spark"))
         assert_equivalent(spark_out, verbose_sql(spec, "R", dialect="duckdb"), R=df)
+
+    def test_fixed_values_read_as_in_duckdb(self, spark):
+        """A fixed value holding a backslash, or a date, is the same value in
+        the Spark SQL text (the verbose query, and the pair predicate of the
+        ``merged`` and ``trendwise`` joins) as in DuckDB's."""
+        import datetime
+
+        from repro.core.compare import compare
+        from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
+        from repro.oracle import assert_equivalent
+
+        start = datetime.date(2024, 1, 1)
+        rows = [(c, start + datetime.timedelta(days=b), w, float(w * b))
+                for c, b in (("x\\y", 1), ("p", 2), ("q", 3)) for w in range(4)]
+        df = spark.createDataFrame(rows, "city string, day date, week long, revenue double")
+        for col, value in (("city", "x\\y"), ("day", start + datetime.timedelta(days=1))):
+            spec = CompareSpec(
+                TrendsetSpec((ConstraintTerm(col, value),)),
+                TrendsetSpec((ConstraintTerm(col),)),
+                (("week", Measure("AVG", "revenue")),),
+            )
+            # constraint columns compared as text: the oracle reads a DATE back as a timestamp
+            keys = {f"{p}_{col}": f"CAST({p}_{col} AS VARCHAR) AS {p}_{col}" for p in "lr"}
+            sql = f"SELECT * REPLACE ({', '.join(keys.values())}) FROM ({verbose_sql(spec, 'R')})"
+            for strategy in ("basic", "merged", "trendwise"):
+                got = compare(df, spec, strategy)
+                for c in keys:
+                    got = got.withColumn(c, got[c].cast("string"))
+                assert_equivalent(got, sql, R=df)
