@@ -9,12 +9,10 @@ where they run.
 """
 from __future__ import annotations
 
-import sys
-
 import pandas as pd
 
 from repro.core.aggregates import V_COL
-from repro.core.exact import block_sides, topk_rows
+from repro.core.exact import all_pairs_frame, block_sides, topk_rows
 from repro.core.pairs import output_rows
 from repro.core.pruning import phi_topk
 from repro.core.spec import CompareSpec, output_cols
@@ -32,9 +30,11 @@ def result_frame(
     scores the survivors exactly; any other query scores every pair.
     """
     arrays = [([gm], *block_sides(spec, p1, p2, [V_COL])) for gm, (p1, p2) in zip(spec.gms, fetched)]
-    if k is not None and spec.scorer.agg in ("SUM", "AVG"):
+    if k is None:
+        return all_pairs_frame(spec, arrays)
+    if spec.scorer.agg in ("SUM", "AVG"):
         rows, _ = phi_topk(spec, k, ascending, arrays, n_segments=1, tuples_per_update=None,
                            early_termination=False)
     else:
-        rows = topk_rows(spec, arrays, sys.maxsize if k is None else k, ascending)
+        rows = topk_rows(spec, arrays, k, ascending)
     return pd.DataFrame(output_rows(spec, rows), columns=output_cols(spec))

@@ -1,8 +1,9 @@
 """Group-by aggregation layer for COMPARE (paper §4.1 step 1 and §4.2 merging).
 
 Every strategy and baseline reads its aggregates from one path,
-:func:`build_vector_blocks`. Per :class:`MergeGroup` and grouping column
-it builds a :class:`VectorBlock`: one relation per trendset side with
+:func:`plan_vector_blocks` (:func:`build_vector_blocks` when a block is
+read more than once). Per :class:`MergeGroup` and grouping column it
+builds a :class:`VectorBlock`: one relation per trendset side with
 schema ``(vary constraint cols…, __g, __m0, __m1, …)``, one row per
 (trend, grouping value) and one value column per (g, m) of the block.
 

@@ -69,11 +69,13 @@ def sql_on_view(df: DataFrame, render: Callable[[str], str]) -> DataFrame:
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
-    """§4.1 basic plan: the verbose Fig. 3 SQL through Catalyst."""
-    return sql_on_view(df, partial(verbose_sql, spec, dialect="spark"))
+    """§4.1 basic plan: the verbose Fig. 3 SQL through Catalyst, its fixed
+    terms typed as the base columns (the SQL text types a literal by its value)."""
+    out = sql_on_view(df, partial(verbose_sql, spec, dialect="spark"))
+    return with_fixed_literals(out, df, spec)
 
 
-def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFrame:
+def _score_gm(df: DataFrame, spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFrame:
     a = rename_side(rel1, spec.t1, 1, {G_COL: "__g1", V_COL: "__v1"})
     b = rename_side(rel2, spec.t2, 2, {G_COL: "__g2", V_COL: "__v2"})
     cond = F.col("__g1") == F.col("__g2")
@@ -91,7 +93,7 @@ def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFr
         scored = joined.agg(sc.agg_col(spec.scorer, diff).alias("score"))
         # the aggregate emits one row even with no matches; drop it then
         scored = scored.filter(F.col("score").isNotNull())
-    labelled = with_fixed_literals(scored, spec).withColumn("grouping", F.lit(gm[0]))
+    labelled = with_fixed_literals(scored, df, spec).withColumn("grouping", F.lit(gm[0]))
     return labelled.withColumn("measure", F.lit(gm[1].name)).select(*output_cols(spec))
 
 
@@ -100,4 +102,4 @@ def compare_merged(
 ) -> DataFrame:
     """Basic join topology over merged/shared group-by aggregates."""
     rels = gm_relations(build_vector_blocks(df, spec, groups), spec)
-    return reduce(DataFrame.unionByName, [_score_gm(spec, gm, *rels[gm]) for gm in spec.gms])
+    return reduce(DataFrame.unionByName, [_score_gm(df, spec, gm, *rels[gm]) for gm in spec.gms])

@@ -5,7 +5,9 @@ Strategies (the Fig. 9b ablation levels, left to right):
 * ``basic``     — §4.1 plan: the verbose Fig. 3 SQL through Catalyst
   (per-(g, m) group-bys, trendset-level join).
 * ``merged``    — §4.2 merged/shared group-by aggregates, same join.
-* ``trendwise`` — merged aggregates + trendwise partitioned comparison.
+* ``trendwise`` — merged aggregates + trendwise partitioned comparison:
+  one Spark task per pair of trend chunks, which decodes and scores them
+  as the driver top-k does (:mod:`repro.core.trendwise`).
 * ``optimized`` — Algorithm-1-chosen merge groups + trendwise comparison.
 
 Top-k-only strategies (``compare_topk``):

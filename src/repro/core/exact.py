@@ -12,11 +12,14 @@ kernel :func:`~repro.core.scorer.score_pairs`, and the k best, in
 
 This is Φp without the bounds (:mod:`repro.core.pruning` reads the same
 :func:`block_arrays`), and the shared-scan, client-side scoring of SeeDB
-(Vartak et al., PVLDB 8(13), 2015). Lazy ``compare()`` keeps the Spark
-plan of :mod:`repro.core.trendwise`: its output is O(pairs) and must stay
-a relation.
+(Vartak et al., PVLDB 8(13), 2015). Lazy ``compare()``, whose output is
+O(pairs) and must stay a relation, runs the same decode and scoring per
+pair of trend chunks inside Spark tasks (:mod:`repro.core.trendwise`,
+through :func:`all_pairs_frame`).
 """
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pandas as pd
@@ -27,7 +30,7 @@ from .pairs import (
     candidate_pairs, identity_keys, local_frame, output_rows, output_schema, trend_rows,
 )
 from .scorer import dense, score_pairs
-from .spec import CompareSpec
+from .spec import CompareSpec, output_cols
 
 
 def _fetch(rel: DataFrame) -> pd.DataFrame:
@@ -115,6 +118,14 @@ def topk_rows(spec: CompareSpec, arrays: list, k: int, ascending: bool) -> list[
             parts.append((gm_index[gm], tids1, ia[ok], tids2, ib[ok]))
             scores.append(s[ok, j])
     return select_rows(spec, parts, np.concatenate(scores), k, ascending)
+
+
+def all_pairs_frame(spec: CompareSpec, arrays: list) -> pd.DataFrame:
+    """Every scored candidate pair of ``arrays`` (:func:`block_arrays`'
+    shape) as a pandas frame in ``output_cols`` order: the client
+    baselines' all-pairs output and the lazy trendwise task's."""
+    rows = topk_rows(spec, arrays, sys.maxsize, True)
+    return pd.DataFrame(output_rows(spec, rows), columns=output_cols(spec))
 
 
 def compare_topk_exact(

@@ -1,11 +1,11 @@
 """Shared pair machinery for COMPARE execution strategies.
 
-Every strategy renames the per-side aggregated relations into the
-canonical ``l_``/``r_`` namespace, so all of them emit identical output
-relations. The pair rule is the verbose SQL's text
-(:func:`repro.core.sql_gen.pair_sql`), which the Spark joins render over
-the ``l_``/``r_`` columns (:func:`pair_condition`); :func:`candidate_pairs`
-is its numpy copy for the driver, checked against the join by
+Every strategy emits the canonical ``l_``/``r_`` output relation
+(:func:`output_schema`). The pair rule is the verbose SQL's text
+(:func:`repro.core.sql_gen.pair_sql`), which the ``merged`` join renders
+over the ``l_``/``r_`` columns (:func:`pair_condition`);
+:func:`candidate_pairs` is its numpy copy for the driver paths and the
+lazy trendwise tasks, checked against the join by
 ``tests/test_pairs.py``. :func:`identity_keys` is the one tie order; only
 :func:`repro.core.exact.select_rows` calls it.
 """
@@ -147,11 +147,14 @@ def pair_key_cols(spec: CompareSpec) -> list[str]:
     ]
 
 
-def with_fixed_literals(scored: DataFrame, spec: CompareSpec) -> DataFrame:
-    """Attach both sides' fixed constraint terms as ``l_``/``r_`` literal columns."""
+def with_fixed_literals(scored: DataFrame, df: DataFrame, spec: CompareSpec) -> DataFrame:
+    """Attach (or replace) both sides' fixed constraint terms as ``l_``/``r_``
+    literal columns, typed as the base relation ``df``'s column, as in
+    :func:`output_schema`."""
     for side, ts in ((1, spec.t1), (2, spec.t2)):
         for t in ts.fixed:
-            scored = scored.withColumn(side_prefix(side) + t.col, F.lit(t.value))
+            lit = F.lit(t.value).cast(df.schema[t.col].dataType)
+            scored = scored.withColumn(side_prefix(side) + t.col, lit)
     return scored
 
 

@@ -298,12 +298,14 @@ def phi_topk(
             bounds.append((matched[keep], lb[keep], ub[keep]))
             vecs[gi] = (v1, m1, v2, m2, edges)
 
-    # groupings with fewer segments are padded with empty ones
+    # one row per pair in block order; groupings with fewer segments leave theirs empty
     n_seg = max(m.shape[1] for m, _, _ in bounds)
-    matched, lb, ub = (
-        np.concatenate([np.pad(a, ((0, 0), (0, n_seg - a.shape[1]))) for a in c])
-        for c in zip(*bounds)
-    )
+    starts = np.cumsum([0] + [len(m) for m, _, _ in bounds])
+    matched = np.zeros((starts[-1], n_seg), dtype=np.int64)
+    lb, ub = np.zeros(matched.shape), np.zeros(matched.shape)
+    for lo, hi, cols in zip(starts[:-1], starts[1:], bounds):
+        for out, a in zip((matched, lb, ub), cols):
+            out[lo:hi, :a.shape[1]] = a
     gm = np.concatenate([np.full(len(ia), gi) for gi, _, ia, _, _ in parts])
     ia = np.concatenate([ia for _, _, ia, _, _ in parts])
     ib = np.concatenate([ib for _, _, _, _, ib in parts])

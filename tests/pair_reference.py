@@ -3,7 +3,7 @@
 Aligns two trends on grouping value with ``np.intersect1d`` and scores
 the aligned vectors one pair at a time: the direct reading of Defs. 7–8
 that the masked kernels (``scorer.score_pairs``, Φp's bounds and the
-lazy trendwise batches) are checked against.
+lazy trendwise tasks) are checked against.
 """
 import numpy as np
 

@@ -177,7 +177,7 @@ def test_null_vary_value_is_a_trend_compared_as_sql_does(null_city_df, name, agg
 
 def test_nan_measure_drops_its_pairs_on_both_paths(spark):
     """A pair whose matched values include a NaN (here an AVG over NULLs)
-    gets no row, in the driver top-k and in the lazy mapInPandas plan alike;
+    gets no row, in the driver top-k and in the lazy trendwise plan alike;
     SQL's NULL-skipping semantics are not implemented yet."""
     rows = [(c, w, float(w * base)) for c, base in (("a", 1), ("b", 2), ("c", 4)) for w in range(5)]
     rows[7] = ("b", 2, None)

@@ -17,6 +17,10 @@
 * One tie order: only the exact path's selection
   (``exact.select_rows``) calls ``pairs.identity_keys``, so the driver
   paths rank pairs through one (score, output identity) order.
+* One decode: only the exact path's side decode (``exact._side_arrays``)
+  calls ``scorer.dense`` and ``pairs.trend_rows``, so the driver top-k,
+  Φp, the client baselines and the lazy trendwise tasks read block sides
+  one way.
 * No scoring in the client baselines: no module in ``baselines`` imports
   ``numpy``. Trends are scored and ranked by ``core``'s driver kernels,
   so the client cannot grow a private copy of the pair logic.
@@ -81,7 +85,7 @@ def calls_outside(path: Path, callee: str, allowed: str | None) -> list[str]:
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and func != allowed and callee in (
+        if isinstance(node, ast.Call) and (allowed is None or func != allowed) and callee in (
             getattr(node.func, "attr", None), getattr(node.func, "id", None)
         ):
             found.append(f"{path.name}:{node.lineno}: in {func or '<module>'}")
@@ -155,6 +159,40 @@ def test_detector_flags_identity_key_calls(tmp_path):
         "m.py:6: in topk", "m.py:8: in inner", "m.py:11: in <module>",
     ]
     assert calls_outside(src, "identity_keys", None)[0] == "m.py:4: in select_rows"
+
+
+SIDE_DECODE = SRC / "core" / "exact.py", "_side_arrays"
+
+
+def test_one_decode():
+    """Only the exact path's side decode builds trend ids and dense arrays."""
+    home, decode = SIDE_DECODE
+    files = sorted(SRC.rglob("*.py"))
+    assert home in files
+    hits = [
+        hit for f in files for callee in ("dense", "trend_rows")
+        for hit in calls_outside(f, callee, decode if f == home else None)
+    ]
+    assert hits == []
+
+
+def test_detector_flags_decode_calls(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from repro.core import scorer\n"
+        "from repro.core.pairs import trend_rows\n"
+        "def _side_arrays(pdf, vary, domain):\n"
+        "    tids, ti = trend_rows(pdf, vary)\n"
+        "    return scorer.dense(len(tids), domain, ti, pdf.g, [])\n"
+        "def kernel(pdf, vary, domain):\n"
+        "    return scorer.dense(1, domain, pdf.r, pdf.g, [])\n"
+        "IDS = trend_rows(None, ())\n"
+    )
+    assert calls_outside(src, "dense", "_side_arrays") == ["m.py:7: in kernel"]
+    assert calls_outside(src, "trend_rows", "_side_arrays") == ["m.py:8: in <module>"]
+    assert calls_outside(src, "trend_rows", None) == [
+        "m.py:4: in _side_arrays", "m.py:8: in <module>",
+    ]
 
 
 def test_detector_flags_private_imports(tmp_path):

@@ -4,7 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.core.compare import compare, topk_exact
+from repro.core.pairs import pair_key_cols
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
+from repro.core.sql_gen import verbose_sql
+from repro.oracle import assert_equivalent
 from repro.plan import (
     Compare,
     CompareChain,
@@ -21,6 +24,7 @@ from repro.plan import (
     optimize_tree,
 )
 from repro.plan import rules as R
+from repro.plan.logical import chain_stage_name
 
 from .spec_catalog import CATALOG
 
@@ -214,6 +218,24 @@ class TestR4:
         a, b = lower(chain, catalog), lower(reordered, catalog)
         assert (tuple(a.columns), tuple(b.columns)) == (chain.cols, reordered.cols)
         _frames_equal(a, b)
+
+    def test_rows_match_duckdb(self, catalog, sales_df):
+        """Each stage's verbose SQL, filtered by its τ and inner-joined on the
+        pair keys, in both stage orders: later stages score only the pairs
+        that survived the earlier ones."""
+        chain = _chain((0.9, 0.1))
+        keys = ", ".join(pair_key_cols(chain.stages[0][0]))
+        stages = [
+            f"(SELECT {keys}, score AS {chain_stage_name(spec)} "
+            f"FROM ({verbose_sql(spec, 'R')}) WHERE score {op} {tau!r})"
+            for spec, op, tau in chain.stages
+        ]
+        sql = f"SELECT * FROM {stages[0]} s0 JOIN {stages[1]} s1 USING ({keys})"
+        n = sales_df.select("city").distinct().count()
+        for tree in (chain, optimize_tree(chain)):
+            got = lower(tree, catalog)
+            assert 0 < got.count() < n * (n - 1) // 2  # some pairs pass, not all
+            assert_equivalent(got, sql, R=sales_df)
 
     def test_mismatched_pair_structure_rejected(self):
         s1 = CompareSpec(ts(("city",)), ts(("city",)), (("week", Measure("AVG", "revenue")),))

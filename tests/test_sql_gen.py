@@ -69,7 +69,7 @@ class TestCrossDialect:
     def test_fixed_values_read_as_in_duckdb(self, spark):
         """A fixed value holding a backslash, or a date, is the same value in
         the Spark SQL text (the verbose query, and the pair predicate of the
-        ``merged`` and ``trendwise`` joins) as in DuckDB's."""
+        ``merged`` join) and in lazy ``trendwise``'s tasks as in DuckDB's."""
         import datetime
 
         from repro.core.compare import compare
