@@ -28,7 +28,6 @@ def get_spark(app: str):
 
     spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
@@ -44,6 +43,6 @@ def main_wrapper(app: str, run):
     spark.sparkContext.setLogLevel("ERROR")
     from repro.bench.harness import BENCH_SF, print_table
 
-    rows = run(spark, sf=float(os.environ.get("REPRO_BENCH_SF", BENCH_SF)))
+    rows = run(spark, sf=BENCH_SF)
     print_table(rows, app)
     spark.stop()

@@ -1,10 +1,11 @@
 """Fig. 11: latency vs number of segment aggregates (Q2, Q4), with the
 Sturges-selected count marked."""
 import math
+import time
 
 import _common
 
-from repro.bench.harness import dataset_cache, timed
+from repro.bench.harness import dataset_cache
 from repro.bench.workloads import flight_queries
 from repro.core.pruning import compare_topk_pruned
 
@@ -19,15 +20,13 @@ def run(spark, sf=0.05, queries=("Q2", "Q4"), segment_counts=(1, 2, 4, 8, 16, 32
         for q in queries:
             wl = wls[q]
             for l in segment_counts:
-                t = timed(
-                    lambda: compare_topk_pruned(
-                        df, wl.spec, wl.k, ascending=wl.ascending, n_segments=l
-                    ).collect()
-                )
-                _, stats = compare_topk_pruned(
+                t0 = time.perf_counter()
+                out, stats = compare_topk_pruned(
                     df, wl.spec, wl.k, ascending=wl.ascending, n_segments=l,
                     return_stats=True,
                 )
+                out.collect()
+                t = time.perf_counter() - t0
                 rows.append(
                     {
                         "query": q,

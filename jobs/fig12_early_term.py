@@ -2,10 +2,11 @@
 termination (Q2, Q4), with COMPARE's automatic segment-size choice
 marked."""
 import math
+import time
 
 import _common
 
-from repro.bench.harness import dataset_cache, timed
+from repro.bench.harness import dataset_cache
 from repro.bench.workloads import flight_queries
 from repro.core.pruning import compare_topk_pruned
 
@@ -20,15 +21,13 @@ def run(spark, sf=0.05, queries=("Q2", "Q4"), chunks=(1, 5, 20, 50, 200, 1000)):
         for q in queries:
             wl = wls[q]
             for tpu in tuple(chunks) + (auto,):
-                t = timed(
-                    lambda: compare_topk_pruned(
-                        df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu
-                    ).collect()
-                )
-                _, stats = compare_topk_pruned(
+                t0 = time.perf_counter()
+                out, stats = compare_topk_pruned(
                     df, wl.spec, wl.k, ascending=wl.ascending, tuples_per_update=tpu,
                     return_stats=True,
                 )
+                out.collect()
+                t = time.perf_counter() - t0
                 rows.append(
                     {
                         "query": q,

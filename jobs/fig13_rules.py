@@ -27,9 +27,7 @@ def _ts(*terms):
 
 
 def _r1_tree(q: str):
-    gms = tuple(
-        (g, Measure(m.agg, m.col)) for g, m in tpcds_gms(5 if q == "Q4" else 5)
-    )
+    gms = tpcds_gms()
     pk = "wp_web_page_sk"
     if q == "Q3":
         spec = CompareSpec(_ts((pk, 1)), _ts((pk, 2)), gms, Scorer("SUM", 2))

@@ -15,6 +15,7 @@ from functools import partial
 from pyspark.sql import DataFrame
 
 from repro.core.basic import compare_basic, sql_on_view
+from repro.core.pairs import with_fixed_literals
 from repro.core.spec import CompareSpec
 from repro.core.sql_gen import topk_sql
 
@@ -27,5 +28,7 @@ def compare_naive_sql(df: DataFrame, spec: CompareSpec) -> DataFrame:
 def compare_topk_naive_sql(
     df: DataFrame, spec: CompareSpec, k: int, ascending: bool = True
 ) -> DataFrame:
-    """Top-k via the verbose SQL + ORDER BY/LIMIT (§3.2)."""
-    return sql_on_view(df, partial(topk_sql, spec, k, ascending, dialect="spark"))
+    """Top-k via the verbose SQL + ORDER BY/LIMIT (§3.2), its fixed terms
+    typed as the base columns, as in :func:`compare_basic`."""
+    top = sql_on_view(df, partial(topk_sql, spec, k, ascending, dialect="spark"))
+    return with_fixed_literals(top, df, spec)

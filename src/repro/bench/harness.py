@@ -73,13 +73,12 @@ def dataset_cache(spark: SparkSession):
 
 
 def execute(
-    method: str, df: DataFrame, wl: Workload, *, bandwidth_mbps: float | None = MIDDLEWARE_MBPS,
-    **kw,
+    method: str, df: DataFrame, wl: Workload, *, bandwidth_mbps: float | None = MIDDLEWARE_MBPS
 ) -> int:
     """Run one top-k comparative query end to end; returns result rows.
 
     ``bandwidth_mbps`` is the middleware's simulated link (``None`` or 0:
-    no simulated transfer); ``kw`` go to :func:`compare_topk`."""
+    no simulated transfer)."""
     k, asc = wl.k, wl.ascending
     if method == "naive_sql":
         return len(compare_topk_naive_sql(df, wl.spec, k, asc).collect())
@@ -90,18 +89,15 @@ def execute(
             compare_middleware(df, wl.spec, k=k, ascending=asc, bandwidth_mbps=bandwidth_mbps)
         )
     # COMPARE strategies (full system + ablation levels)
-    out = compare_topk(df, wl.spec, k, ascending=asc, strategy=method, fds=wl.fds, **kw)
+    out = compare_topk(df, wl.spec, k, ascending=asc, strategy=method, fds=wl.fds)
     return len(out.collect())
 
 
-def timed(fn, *args, repeat: int = 1, **kw) -> float:
-    """Best-of-``repeat`` wall-clock seconds of ``fn(*args, **kw)``."""
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn(*args, **kw)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def timed(fn, *args, **kw) -> float:
+    """Wall-clock seconds of ``fn(*args, **kw)``."""
+    t0 = time.perf_counter()
+    fn(*args, **kw)
+    return time.perf_counter() - t0
 
 
 def speedup_row(label: str, base_s: float, times: dict[str, float]) -> dict:

@@ -54,9 +54,10 @@ def tpcds_gms(n: int = 5) -> tuple:
     return tuple(pool[:n])
 
 
-def flight_queries(ref_airport: str = "A0", n_gms: int = 10) -> dict[str, Workload]:
+def flight_queries() -> dict[str, Workload]:
+    ref_airport = "A0"
     one = flight_gms(1)
-    many = flight_gms(n_gms)
+    many = flight_gms()
     fds = {"week": "day", "month": "day"}
     return {
         "Q1": Workload(
@@ -84,9 +85,10 @@ def flight_queries(ref_airport: str = "A0", n_gms: int = 10) -> dict[str, Worklo
     }
 
 
-def tpcds_queries(ref_page: int = 1, n_gms: int = 5) -> dict[str, Workload]:
+def tpcds_queries() -> dict[str, Workload]:
+    ref_page = 1
     one = tpcds_gms(1)
-    many = tpcds_gms(n_gms)
+    many = tpcds_gms()
     c = "ws_web_page_sk"
     return {
         "Q1": Workload(

@@ -27,19 +27,19 @@ Inside a :func:`persisted` scope the merged partials and (through
 are persisted (Spark does not share work between the re-aggregates, nor
 between the actions that read a block, otherwise) and leaving the scope
 unpersists them; outside one the blocks are plain lazy plans.
+
+This layer builds relations only and runs no Spark action: the driver
+paths fetch the blocks (:func:`repro.core.exact.block_arrays`).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
 
 from pyspark import StorageLevel
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.util import inheritable_thread_target
 
 from .spec import GM, CompareSpec, Measure, TrendsetSpec
 
@@ -241,40 +241,6 @@ def build_vector_blocks(
         if not blk.shared:
             _persist(blk.rel1)
     return blocks
-
-
-def run_concurrently(spark: SparkSession, actions: list) -> list:
-    """Results of independent Spark actions (zero-argument callables), in
-    ``actions`` order; two or more run on one thread each.
-
-    Each thread inherits the caller's local properties (its job group,
-    scheduler pool), so its jobs are attributed as the caller's own.
-    """
-    if len(actions) < 2:
-        return [a() for a in actions]
-    with ThreadPoolExecutor(len(actions)) as pool:
-        futures = [pool.submit(inheritable_thread_target(spark)(a)) for a in actions]
-        return [f.result() for f in futures]
-
-
-def per_block_side(spark: SparkSession, spec: CompareSpec, blocks: list[VectorBlock], action):
-    """``(result1, result2)`` per block of ``action(b, rel, vary, side)``
-    over block ``b``'s side relations (side 0 is T1's, 1 is T2's).
-
-    Every block side's action runs concurrently; a shared block runs
-    T2's only and uses it for both sides.
-    """
-    calls = []
-    for b, blk in enumerate(blocks):
-        calls.append(partial(action, b, blk.rel2, spec.t2.vary_cols, 1))
-        if not blk.shared:
-            calls.append(partial(action, b, blk.rel1, spec.t1.vary_cols, 0))
-    results = iter(run_concurrently(spark, calls))
-    out = []
-    for blk in blocks:
-        r2 = next(results)
-        out.append((r2 if blk.shared else next(results), r2))
-    return out
 
 
 def gm_relations(

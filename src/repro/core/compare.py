@@ -93,7 +93,6 @@ def compare_topk(
     ascending: bool = True,
     strategy: str = "compare",
     fds: dict[str, str] | None = None,
-    **phi_kwargs,
 ) -> DataFrame:
     """Top-k comparative query (§3.2), via an exact top-k or the Φp operator,
     computed inside the call's ``persisted()`` scope as a local relation.
@@ -104,19 +103,14 @@ def compare_topk(
     """
     with persisted():
         if strategy == "pruned":
-            return compare_topk_pruned(
-                df, spec, k, ascending=ascending, early_termination=False, **phi_kwargs
-            )
+            return compare_topk_pruned(df, spec, k, ascending=ascending, early_termination=False)
         if strategy == "compare":
-            groups = phi_kwargs.pop("groups", None)
-            if groups is None:
-                groups = _optimizer_groups(df, spec, fds)
-            if spec.scorer.agg not in ("MIN", "MAX") or phi_kwargs:
-                return compare_topk_pruned(
-                    df, spec, k, ascending=ascending, early_termination=True,
-                    groups=groups, **phi_kwargs,
-                )
-            return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
+            groups = _optimizer_groups(df, spec, fds)
+            if spec.scorer.agg in ("MIN", "MAX"):
+                return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
+            return compare_topk_pruned(
+                df, spec, k, ascending=ascending, early_termination=True, groups=groups
+            )
         if strategy in ("trendwise", "optimized"):
             groups = _optimizer_groups(df, spec, fds) if strategy == "optimized" else None
             return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)

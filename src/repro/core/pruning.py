@@ -30,10 +30,11 @@ Fetch → Summarize → Bound → Prune → refine in rounds → Select:
 5. **Refine** — in rounds, the batched form of Algorithm 2 (the
    Threshold Algorithm of Fagin, Lotem and Naor, PODS 2001, run in
    batches): each round replaces the bounds of the next matched
-   segment(s) of every live pair with exact partial scores, in masked
-   numpy slices grouped by (g, m) and segment, then recomputes T and
-   prunes again. Rounds stop when no live pair has an unrefined segment,
-   so there are at most #segments rounds.
+   segment(s) of every live pair with exact partial scores, computed by
+   the exact path's kernel (:func:`~repro.core.scorer.score_pairs`, SUM
+   OVER DIFF(p) over the segment's columns) per (g, m) and segment, then
+   recomputes T and prunes again. Rounds stop when no live pair has an
+   unrefined segment, so there are at most #segments rounds.
 6. **Select** — the unpruned pairs, now exact, are ranked by the exact
    top-k's selection (:func:`repro.core.exact.select_rows`), ties by
    output identity. A pair is pruned only when its optimistic bound lies
@@ -61,8 +62,8 @@ from pyspark.sql import DataFrame
 from .aggregates import MergeGroup, persisted
 from .exact import block_arrays, select_rows
 from .pairs import candidate_pairs, local_frame, output_rows, output_schema
-from .scorer import SLICE_FLOATS, diff_np, score_from_sum
-from .spec import CompareSpec
+from .scorer import diff_np, score_from_sum, score_pairs
+from .spec import CompareSpec, Scorer
 
 
 def sturges(n: int) -> int:
@@ -215,22 +216,20 @@ class _Phi:
 
     def _refine(self, rows: np.ndarray, seg: np.ndarray, vecs) -> None:
         """Replace segment ``seg[j]``'s bounds of pair ``rows[j]`` with its exact
-        partial score, in masked slices of pairs sharing a (g, m) and segment."""
-        n_seg, p = self.matched.shape[1], self.spec.scorer.p
+        partial score: SUM OVER DIFF(p) by the scoring kernel, over the segment's
+        columns, once per group of pairs sharing a (g, m) and segment."""
+        n_seg, partial_sum = self.matched.shape[1], Scorer("SUM", self.spec.scorer.p)
         key = self.gm[rows] * n_seg + seg
         order = np.argsort(key, kind="stable")
         rows, key = rows[order], key[order]
         for part in np.split(np.arange(len(rows)), np.flatnonzero(np.diff(key)) + 1):
             gi, s = divmod(int(key[part[0]]), n_seg)
             v1, m1, v2, m2, e = vecs[gi]
-            lo, hi = e[s], e[s + 1]
-            step = max(1, SLICE_FLOATS // (hi - lo))
-            for c in range(0, len(part), step):
-                r = rows[part[c:c + step]]
-                a, b = self.ia[r], self.ib[r]
-                match = m1[a, lo:hi] & m2[b, lo:hi]
-                d = np.where(match, diff_np(v1[a, lo:hi], v2[b, lo:hi], p), 0.0)
-                self.lb[r, s] = self.ub[r, s] = d.sum(axis=1)
+            cols = slice(e[s], e[s + 1])
+            r = rows[part]
+            exact = score_pairs(partial_sum, m1[:, cols], m2[:, cols],
+                                [(v1[:, cols], v2[:, cols])], self.ia[r], self.ib[r])
+            self.lb[r, s] = self.ub[r, s] = exact[:, 0]
 
     def refine_rounds(self, vecs, early_termination: bool) -> None:
         """Refine every live pair to its exact score, in rounds.

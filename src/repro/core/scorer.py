@@ -4,8 +4,8 @@ Provides both Spark Column expressions (used by the ``merged`` join) and
 numpy kernels: :func:`dense`, the one decode of a block side into (trends
 × grouping values) arrays (called only by :mod:`repro.core.exact`), and
 the masked scoring kernel :func:`score_pairs`, shared by the driver top-k,
-the lazy trendwise tasks and the client baselines; Φp's bounds read the
-same arrays.
+Φp's refinement, the lazy trendwise tasks and the client baselines; Φp's
+bounds read the same arrays.
 """
 from __future__ import annotations
 

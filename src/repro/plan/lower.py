@@ -44,20 +44,20 @@ def _apply_preds(df: DataFrame, preds) -> DataFrame:
     return df
 
 
-def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise") -> DataFrame:
+def lower(node: Node, catalog: dict[str, DataFrame]) -> DataFrame:
     """Lower a logical tree to a DataFrame."""
     if isinstance(node, Scan):
         return catalog[node.name]
     if isinstance(node, Filter):
-        return _apply_preds(lower(node.child, catalog, strategy), node.preds)
+        return _apply_preds(lower(node.child, catalog), node.preds)
     if isinstance(node, Join):
-        left = lower(node.left, catalog, strategy)
-        right = lower(node.right, catalog, strategy)
+        left = lower(node.left, catalog)
+        right = lower(node.right, catalog)
         return left.join(
             right, left[node.left_on] == right[node.right_on], "inner"
         )
     if isinstance(node, GroupAgg):
-        df = lower(node.child, catalog, strategy)
+        df = lower(node.child, catalog)
         if not node.aggs:
             return df.select(*node.keys).dropDuplicates()
         fns = {"AVG": F.avg, "SUM": F.sum, "MIN": F.min, "MAX": F.max, "COUNT": F.count}
@@ -65,26 +65,26 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
             *[fns[a](c).alias(alias) for a, c, alias in node.aggs]
         )
     if isinstance(node, Rename):
-        df = lower(node.child, catalog, strategy)
+        df = lower(node.child, catalog)
         for old, new in node.mapping:
             df = df.withColumnRenamed(old, new)
         return df
     if isinstance(node, Compare):
-        return compare(lower(node.child, catalog, strategy), node.spec, strategy=strategy)
+        return compare(lower(node.child, catalog), node.spec)
     if isinstance(node, TopK):
         if isinstance(node.child, Compare):
             return compare_topk(
-                lower(node.child.child, catalog, strategy),
+                lower(node.child.child, catalog),
                 node.child.spec,
                 node.k,
                 ascending=node.ascending,
                 strategy="compare",
             )
-        return topk_exact(lower(node.child, catalog, strategy), node.k, node.ascending)
+        return topk_exact(lower(node.child, catalog), node.k, node.ascending)
     if isinstance(node, CompareChain):
-        return _lower_chain(node, catalog, strategy)
+        return _lower_chain(node, catalog)
     if isinstance(node, Union):
-        parts = [lower(i, catalog, strategy) for i in node.inputs]
+        parts = [lower(i, catalog) for i in node.inputs]
         return reduce(DataFrame.unionByName, parts)
     if isinstance(node, ScoreAgg):
         # verbose sub-plan: execute as the basic §4.1 plan it denotes
@@ -100,10 +100,10 @@ def lower(node: Node, catalog: dict[str, DataFrame], strategy: str = "trendwise"
     raise TypeError(f"cannot lower {type(node).__name__}")
 
 
-def _lower_chain(node: CompareChain, catalog, strategy: str) -> DataFrame:
+def _lower_chain(node: CompareChain, catalog) -> DataFrame:
     """Chained Φ (§6 R4): score pairs stage by stage, most selective first
     once R4 has reordered; each stage only scores surviving pairs."""
-    df = lower(node.child, catalog, strategy)
+    df = lower(node.child, catalog)
     keys = pair_key_cols(node.stages[0][0])
     surviving: DataFrame | None = None
     out: DataFrame | None = None

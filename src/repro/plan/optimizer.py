@@ -46,11 +46,15 @@ DEFAULT_RULES = (
 )
 
 
-def optimize_tree(node: Node, rules=DEFAULT_RULES, max_iters: int = 10) -> Node:
-    """Apply transformation rules bottom-up to a fixpoint."""
-    for _ in range(max_iters):
+#: rule passes before the driver gives up on reaching a fixpoint
+MAX_PASSES = 10
+
+
+def optimize_tree(node: Node) -> Node:
+    """Apply :data:`DEFAULT_RULES` bottom-up to a fixpoint."""
+    for _ in range(MAX_PASSES):
         new = node
-        for rule in rules:
+        for rule in DEFAULT_RULES:
             new = transform(new, rule)
         if new == node:
             return node

@@ -21,9 +21,16 @@
   calls ``scorer.dense`` and ``pairs.trend_rows``, so the driver top-k,
   Φp, the client baselines and the lazy trendwise tasks read block sides
   one way.
+* One scoring kernel: only the masked scoring kernel
+  (``scorer.score_pairs``) and Φp's bounds kernel (``pruning.bound_pairs``)
+  call ``scorer.diff_np``, so every exact score, Φp's refined segments
+  included, is computed one way.
 * No scoring in the client baselines: no module in ``baselines`` imports
   ``numpy``. Trends are scored and ranked by ``core``'s driver kernels,
   so the client cannot grow a private copy of the pair logic.
+* No catch-all options: no public function or method in ``core``,
+  ``plan`` or ``baselines`` takes ``**kwargs``, so every option a caller
+  can set is a named parameter.
 """
 import ast
 from pathlib import Path
@@ -192,6 +199,87 @@ def test_detector_flags_decode_calls(tmp_path):
     assert calls_outside(src, "trend_rows", "_side_arrays") == ["m.py:8: in <module>"]
     assert calls_outside(src, "trend_rows", None) == [
         "m.py:4: in _side_arrays", "m.py:8: in <module>",
+    ]
+
+
+DIFF_KERNELS = {SRC / "core" / "scorer.py": "score_pairs", SRC / "core" / "pruning.py": "bound_pairs"}
+
+
+def test_one_scoring_kernel():
+    """Only the scoring kernel and Φp's bounds kernel compute DIFF(p) over arrays."""
+    files = sorted(SRC.rglob("*.py"))
+    assert set(DIFF_KERNELS) <= set(files)
+    hits = [hit for f in files for hit in calls_outside(f, "diff_np", DIFF_KERNELS.get(f))]
+    assert hits == []
+
+
+def test_detector_flags_diff_calls(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import numpy as np\n"
+        "from repro.core import scorer\n"
+        "from repro.core.scorer import diff_np\n"
+        "def bound_pairs(a1, a2, p):\n"
+        "    return diff_np(a1.max, a2.min, p)\n"
+        "class _Phi:\n"
+        "    def _refine(self, v1, v2, match, p):\n"
+        "        d = np.where(match, scorer.diff_np(v1, v2, p), 0.0)\n"
+        "        return d.sum(axis=1)\n"
+        "GAP = diff_np(np.zeros(1), np.ones(1), 2)\n"
+    )
+    assert calls_outside(src, "diff_np", "bound_pairs") == [
+        "m.py:8: in _refine", "m.py:10: in <module>",
+    ]
+
+
+def catch_all_options(path: Path) -> list[str]:
+    """Public functions, and public methods of public classes, of one source
+    file that take ``**kwargs``."""
+    found = []
+
+    def check(defs, owner=""):
+        for node in defs:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.args.kwarg:
+                found.append(f"{path.name}:{node.lineno}: {owner}{node.name}(**{node.args.kwarg.arg})")
+            elif isinstance(node, ast.ClassDef) and not owner:
+                check(node.body, node.name + ".")
+
+    check(ast.parse(path.read_text(), filename=str(path)).body)
+    return found
+
+
+def test_no_catch_all_options():
+    files = sorted(f for pkg in ("core", "plan", "baselines") for f in (SRC / pkg).rglob("*.py"))
+    assert {"compare.py", "lower.py", "udf.py"} <= {f.name for f in files}
+    assert [hit for f in files for hit in catch_all_options(f)] == []
+
+
+def test_detector_flags_catch_all_options(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def compare_topk(df, spec, k=5, *, strategy='compare', **phi_kwargs):\n"
+        "    return df\n"
+        "def _helper(**kw):\n"
+        "    return kw\n"
+        "def wrap(f):\n"
+        "    def inner(*args, **kwargs):\n"
+        "        return f(*args, **kwargs)\n"
+        "    return inner\n"
+        "class Plan:\n"
+        "    def run(self, *, k, **opts):\n"
+        "        return opts\n"
+        "    def _go(self, **opts):\n"
+        "        return opts\n"
+        "class _Hidden:\n"
+        "    def run(self, **opts):\n"
+        "        return opts\n"
+        "def typed(df, *cols):\n"
+        "    return cols\n"
+    )
+    assert catch_all_options(src) == [
+        "m.py:1: compare_topk(**phi_kwargs)", "m.py:10: Plan.run(**opts)",
     ]
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines.naive_sql import compare_topk_naive_sql
 from repro.core import trendwise
 from repro.core.aggregates import MergeGroup
 from repro.core.compare import compare, compare_topk
@@ -64,9 +65,9 @@ def test_output_schema_canonical(request, flight_df):
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_lazy_schema_is_the_output_schema(request, name):
-    """Every strategy types each output column as the driver top-k does: a
-    fixed term as its base column (``tpcds_q1``'s ``l_ws_web_page_sk`` is a
-    bigint, not the Python literal's int)."""
+    """Every strategy, and the naive-SQL top-k, types each output column as
+    the driver top-k does: a fixed term as its base column (``tpcds_q1``'s
+    ``l_ws_web_page_sk`` is a bigint, not the Python literal's int)."""
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
 
@@ -75,6 +76,7 @@ def test_lazy_schema_is_the_output_schema(request, name):
 
     expected = typed(output_schema(df, spec))
     assert typed(compare_topk(df, spec, 1).schema) == expected
+    assert typed(compare_topk_naive_sql(df, spec, 1).schema) == expected
     for strategy in STRATEGIES:
         assert typed(compare(df, spec, strategy).schema) == expected, strategy
 
