@@ -1,41 +1,38 @@
 """Group-by aggregation layer for COMPARE (paper §4.1 step 1 and §4.2 merging).
 
-Every strategy and baseline reads its aggregates from one path,
-:func:`plan_vector_blocks` (:func:`build_vector_blocks` when a block is
-read more than once). Per :class:`MergeGroup` and grouping column it
-builds a :class:`VectorBlock`: one relation per trendset side with
-schema ``(vary constraint cols…, __g, __m0, __m1, …)``, one row per
-(trend, grouping value) and one value column per (g, m) of the block.
+Every strategy and baseline reads its aggregates from one path: each
+trendset side is **one relation** (:func:`side_aggregate`), whose rows
+carry (``__b``) the grouping set they belong to.
 
-* A group over one grouping column is one group-by computing all of its
-  measures.
+* The groups over one grouping column share one ``GROUPING SETS``
+  aggregate over the filtered base relation, a set ``(vary…, g)`` per
+  distinct grouping column: one scan and one shuffle for all of them
+  (Gray et al., "Data Cube", ICDE 1996).
 * A group over several grouping columns is *merged*: one group-by
-  computing partial aggregates over the union of grouping columns, then a
-  cheap re-aggregate per grouping column (§4.2 "Merging group-by
-  aggregates", steps 1–4 of the merged sub-plan).
+  computing partial aggregates over the union of its grouping columns,
+  then one grouping-sets re-aggregate over that partial (§4.2 "Merging
+  group-by aggregates", steps 1–4 of the merged sub-plan).
 * *Shared across sides*: when trendset T1 is a fixed-value slice of T2
-  (e.g. ``airport='SFO' <-> airport``), T1's relation is derived by
-  filtering T2's instead of re-scanning the base relation; identical
-  trendsets share one relation object.
+  (e.g. ``airport='SFO' <-> airport``), T1 is read from T2's relation;
+  identical trendsets share one.
 
-The per-(g, m) plans (the merged join, the UDF and middleware
-baselines) read each (g, m) as the projection ``(vary…, __g, __v)`` of
-its block (:func:`gm_relations`).
-
-Inside a :func:`persisted` scope the merged partials and (through
-:func:`build_vector_blocks`, not :func:`plan_vector_blocks`) the blocks
-are persisted (Spark does not share work between the re-aggregates, nor
-between the actions that read a block, otherwise) and leaving the scope
-unpersists them; outside one the blocks are plain lazy plans.
+A :class:`VectorBlock` (per :class:`MergeGroup` and grouping column) is
+a view of its group's side relations: its set's rows as ``(vary…, __g,
+value cols…)``, one row per (trend, grouping value) and one value column
+per (g, m). The lazy paths read the views; the per-(g, m) plans (the merged
+join, the UDF and middleware baselines) read each (g, m) as the
+projection ``(vary…, __g, __v)`` of its block (:func:`gm_relations`),
+and persist the views inside a :func:`persisted` scope.
 
 This layer builds relations only and runs no Spark action: the driver
-paths fetch the blocks (:func:`repro.core.exact.block_arrays`).
+paths fetch each side relation once (:func:`repro.core.exact.block_arrays`).
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark import StorageLevel
 from pyspark.sql import DataFrame
@@ -45,6 +42,8 @@ from .spec import GM, CompareSpec, Measure, TrendsetSpec
 
 G_COL = "__g"
 V_COL = "__v"
+#: a side relation's column holding the grouping set of its row (:func:`side_aggregate`)
+B_COL = "__b"
 
 #: The frames the innermost open :func:`persisted` scope has persisted.
 _SCOPE: ContextVar[list[DataFrame] | None] = ContextVar("persisted_scope", default=None)
@@ -61,7 +60,7 @@ def persisted():
         yield
     finally:
         _SCOPE.reset(token)
-        while frames:  # dependents first: a block before the partial it reads
+        while frames:
             frames.pop().unpersist()
 
 
@@ -85,19 +84,11 @@ class MergeGroup:
 
     @property
     def groupings(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for g, _ in self.gms:
-            if g not in out:
-                out.append(g)
-        return tuple(out)
+        return tuple(dict.fromkeys(g for g, _ in self.gms))
 
     @property
     def measures(self) -> tuple[Measure, ...]:
-        out: list[Measure] = []
-        for _, m in self.gms:
-            if m not in out:
-                out.append(m)
-        return tuple(out)
+        return tuple(dict.fromkeys(m for _, m in self.gms))
 
 
 def same_grouping_groups(gms: tuple[GM, ...]) -> list[MergeGroup]:
@@ -119,35 +110,19 @@ def filtered(df: DataFrame, ts: TrendsetSpec) -> DataFrame:
 
 
 def _partial_exprs(measures: tuple[Measure, ...]):
-    """Partial aggregates that allow algebraic re-aggregation."""
-    exprs, names = [], {}
+    """Partial aggregates that allow algebraic re-aggregation, and per
+    measure its re-aggregate over them."""
+    exprs, refinal = [], {}
     for i, m in enumerate(measures):
-        if m.agg in ("AVG", "SUM", "COUNT"):
-            s, c = f"__s{i}", f"__c{i}"
+        s, c = f"__s{i}", f"__c{i}"
+        if m.agg in ("MIN", "MAX"):
+            fn = F.min if m.agg == "MIN" else F.max
+            exprs.append(fn(m.col).alias(s))
+            refinal[m] = fn(s)
+        else:
             exprs += [F.sum(m.col).alias(s), F.count(m.col).alias(c)]
-            names[m] = (s, c)
-        elif m.agg == "MIN":
-            s = f"__s{i}"
-            exprs.append(F.min(m.col).alias(s))
-            names[m] = (s, None)
-        else:  # MAX
-            s = f"__s{i}"
-            exprs.append(F.max(m.col).alias(s))
-            names[m] = (s, None)
-    return exprs, names
-
-
-def _refinal_expr(m: Measure, names):
-    s, c = names[m]
-    if m.agg == "AVG":
-        return (F.sum(s) / F.sum(c)).cast("double")
-    if m.agg == "SUM":
-        return F.sum(s).cast("double")
-    if m.agg == "COUNT":
-        return F.sum(c).cast("double")
-    if m.agg == "MIN":
-        return F.min(s).cast("double")
-    return F.max(s).cast("double")
+            refinal[m] = {"AVG": F.sum(s) / F.sum(c), "SUM": F.sum(s), "COUNT": F.sum(c)}[m.agg]
+    return exprs, {m: e.cast("double") for m, e in refinal.items()}
 
 
 def _direct_expr(m: Measure):
@@ -155,15 +130,24 @@ def _direct_expr(m: Measure):
     return fn(m.col).cast("double")
 
 
+@dataclass(frozen=True)
+class BlockLayout:
+    """A block's rows in its side's :func:`side_aggregate`: those whose
+    ``B_COL`` is ``tag``, keyed by ``g``, with (g, m) ``gm`` in ``value_cols[gm]``."""
+
+    g: str
+    value_cols: dict  # gm -> value column name
+    tag: int
+
+
 @dataclass
 class VectorBlock:
-    """All measures that share one grouping column, as one relation.
+    """All measures that share one grouping column, as one relation per side.
 
     This is the §4.2 sharing taken to the physical layer: every (g, m)
     with the same grouping ``g`` (after Algorithm-1 merging) is served
-    by a single aggregated relation ``(vary…, __g, __m0, __m1, …)`` so
-    the trendwise/Φp stages downstream pay one shuffle per *block*, not
-    one per (g, m).
+    by a single aggregated relation ``(vary…, __g, __m0, __m1, …)``, a
+    view of its group's :func:`side_aggregate`.
     """
 
     g: str
@@ -173,73 +157,95 @@ class VectorBlock:
     shared: bool  # rel1 is rel2
 
 
-def _block_rels_for_side(df: DataFrame, ts: TrendsetSpec, groups: list[MergeGroup]):
-    """Per (group, grouping) block relations for one trendset side."""
-    base = filtered(df, ts)
-    vary = list(ts.vary_cols)
-    out = {}  # (group_idx, g) -> (rel, {gm: col})
-    for gidx, grp in enumerate(groups):
-        if len(grp.groupings) == 1:
-            g = grp.groupings[0]
-            cols = {gm: f"__m{j}" for j, gm in enumerate(grp.gms)}
-            rel = base.groupBy(*vary, g).agg(
-                *[_direct_expr(gm[1]).alias(cols[gm]) for gm in grp.gms]
-            ).withColumnRenamed(g, G_COL)
-            out[(gidx, g)] = (rel, cols)
+def side_aggregate(
+    df: DataFrame, ts: TrendsetSpec, groups: list[MergeGroup]
+) -> tuple[DataFrame, list[BlockLayout]]:
+    """One trendset side's blocks as one relation ``(vary…, grouping
+    cols…, value cols…, B_COL)``, and per block (single-grouping groups
+    first, then each merged group's) where its rows are.
+
+    The single-grouping groups' aggregate and each merged group's
+    re-aggregate are unioned; a row's ``B_COL`` numbers its grouping set.
+    The layout depends on ``groups`` only, so both sides share it.
+    """
+    base, vary = filtered(df, ts), list(ts.vary_cols)
+    single = [grp for grp in groups if len(grp.groupings) == 1]
+    measures = dict.fromkeys(m for grp in single for m in grp.measures)
+    parts = [(base, single, {m: _direct_expr(m) for m in measures})] if single else []
+    for grp in groups:
+        if len(grp.groupings) > 1:
+            exprs, refinal = _partial_exprs(grp.measures)
+            parts.append((base.groupBy(*vary, *grp.groupings).agg(*exprs), [grp], refinal))
+    rels, layout, n_tags, n_cols = [], [], 0, 0
+    for rel, grps, aggs in parts:
+        gs = list(dict.fromkeys(g for grp in grps for g in grp.groupings))
+        cols = {m: f"__m{n_cols + j}" for j, m in enumerate(aggs)}
+        values = [e.alias(cols[m]) for m, e in aggs.items()]
+        if len(gs) == 1:  # Spark would still Expand one set: ~15 % slower on TPC-DS Q2@192
+            rels.append(rel.groupBy(*vary, *gs).agg(*values, F.lit(n_tags).alias(B_COL)))
         else:
-            exprs, names = _partial_exprs(grp.measures)
-            partial_aggs = base.groupBy(*vary, *grp.groupings).agg(*exprs)
-            _persist(partial_aggs)
-            for g in grp.groupings:
-                gms_g = tuple(gm for gm in grp.gms if gm[0] == g)
-                cols = {gm: f"__m{j}" for j, gm in enumerate(gms_g)}
-                rel = partial_aggs.groupBy(*vary, g).agg(
-                    *[_refinal_expr(gm[1], names).alias(cols[gm]) for gm in gms_g]
-                ).withColumnRenamed(g, G_COL)
-                out[(gidx, g)] = (rel, cols)
-    return out
+            tag = F.when(F.grouping(gs[0]) == 0, n_tags)  # grouping(g) is 0 on g's set's rows
+            for i, g in enumerate(gs[1:], 1):
+                tag = tag.when(F.grouping(g) == 0, n_tags + i)
+            rels.append(rel.groupingSets([[*vary, g] for g in gs], *vary, *gs).agg(*values, tag.alias(B_COL)))
+        layout += [
+            BlockLayout(g, {gm: cols[gm[1]] for gm in grp.gms if gm[0] == g}, n_tags + gs.index(g))
+            for grp in grps for g in grp.groupings
+        ]
+        n_tags, n_cols = n_tags + len(gs), n_cols + len(aggs)
+    return reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), rels), layout
+
+
+def plan_sides(
+    df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
+) -> tuple[DataFrame | None, DataFrame, list[BlockLayout]]:
+    """``(side1, side2, layout)``: T1's and T2's :func:`side_aggregate` and
+    their block layout; ``side1`` is None when T1 is a slice of T2
+    (:func:`slice_filters`, identical trendsets included)."""
+    groups = groups if groups is not None else same_grouping_groups(spec.gms)
+    side2, layout = side_aggregate(df, spec.t2, groups)
+    side1 = None if slice_filters(spec) is not None else side_aggregate(df, spec.t1, groups)[0]
+    return side1, side2, layout
+
+
+def _view(side: DataFrame, ts: TrendsetSpec, blk: BlockLayout) -> DataFrame:
+    """Block ``blk`` of a side relation as ``(vary…, __g, value cols…)``."""
+    return side.filter(F.col(B_COL) == blk.tag).select(
+        *ts.vary_cols, F.col(blk.g).alias(G_COL), *blk.value_cols.values()
+    )
 
 
 def plan_vector_blocks(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
-    """Block relations for both sides (T1 reuses T2's when possible), for a
-    caller that reads each block side once: inside a :func:`persisted`
-    scope only the merged partials, which every re-aggregate reads, are
-    persisted."""
-    groups = groups if groups is not None else same_grouping_groups(spec.gms)
-    side2 = _block_rels_for_side(df, spec.t2, groups)
-    slice_f = slice_filters(spec)
-    if spec.same_trendsets:
-        side1 = side2
-    elif slice_f is not None:
-        side1 = {}
-        for key, (rel, cols) in side2.items():
-            derived = rel
-            for c, v in slice_f.items():
-                derived = derived.filter(F.col(c) == F.lit(v))
-            derived = derived.drop(*[c for c in slice_f if c not in spec.t1.vary_cols])
-            side1[key] = (derived, cols)
-    else:
-        side1 = _block_rels_for_side(df, spec.t1, groups)
-    return [
-        VectorBlock(g=key[1], value_cols=cols, rel1=side1[key][0], rel2=rel2,
-                    shared=side1[key][0] is rel2)
-        for key, (rel2, cols) in side2.items()
-    ]
+    """Both sides of every block, as views of its own group's
+    :func:`plan_sides` relations (read on their own, a single-grouping
+    group's is a plain group-by with no ``Expand``); a slice T1 filters T2's
+    relation, and identical trendsets share one view object."""
+    blocks = []
+    for grp in groups if groups is not None else same_grouping_groups(spec.gms):
+        side1, side2, layout = plan_sides(df, spec, [grp])
+        if side1 is None:
+            side1 = side2
+            for c, v in slice_filters(spec).items():
+                side1 = side1.filter(F.col(c) == F.lit(v))
+        for blk in layout:
+            rel2 = _view(side2, spec.t2, blk)
+            rel1 = rel2 if spec.same_trendsets else _view(side1, spec.t1, blk)
+            blocks.append(VectorBlock(blk.g, blk.value_cols, rel1, rel2, rel1 is rel2))
+    return blocks
 
 
 def build_vector_blocks(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
-    """:func:`plan_vector_blocks`, the block relations persisted in the open
-    scope too: for a caller that reads a block more than once
+    """:func:`plan_vector_blocks`, the block views persisted in the open
+    scope: for a caller that reads a block more than once
     (:func:`gm_relations` once per (g, m))."""
     blocks = plan_vector_blocks(df, spec, groups)
     for blk in blocks:
-        _persist(blk.rel2)
-        if not blk.shared:
-            _persist(blk.rel1)
+        for rel in (blk.rel2, blk.rel1):  # a shared block's is cached by then
+            _persist(rel)
     return blocks
 
 

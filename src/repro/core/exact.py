@@ -2,10 +2,12 @@
 
 The §4.2 plan joins at *trend* granularity, so the comparison touches p
 trend rows, not n tuples. A top-k query needs no pair relation in Spark
-at all: each side of each :class:`~repro.core.aggregates.VectorBlock`
-(one row per trend and grouping value) is fetched once through Arrow —
-a shared block once, the sides concurrently — and decoded into dense
-(trends × grouping values) value arrays plus a key mask. Candidate pairs
+at all: each distinct trendset side's aggregate, all of its blocks in one
+grouping-sets relation (:func:`~repro.core.aggregates.side_aggregate`),
+is fetched once through Arrow — one Spark action per side, none for a T1
+that is a slice of T2 — split into blocks (one row per trend and grouping
+value) by grouping set, and decoded into dense (trends × grouping
+values) value arrays plus a key mask. Candidate pairs
 (:func:`~repro.core.pairs.candidate_pairs`) are scored by the masked
 kernel :func:`~repro.core.scorer.score_pairs`, and the k best, in
 ``topk_exact``'s (score, output identity) order, become a local relation.
@@ -20,48 +22,28 @@ through :func:`all_pairs_frame`).
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.util import inheritable_thread_target
+import pyarrow as pa
+import pyarrow.compute as pc
+from pyspark.sql import DataFrame
 
-from .aggregates import G_COL, MergeGroup, VectorBlock, plan_vector_blocks
+from .aggregates import B_COL, G_COL, BlockLayout, MergeGroup, plan_sides, slice_filters
 from .pairs import (
     candidate_pairs, identity_keys, local_frame, output_rows, output_schema, trend_rows,
 )
 from .scorer import dense, score_pairs
-from .spec import CompareSpec, output_cols
+from .spec import CompareSpec, TrendsetSpec, output_cols
 
 
-def _fetch(rel: DataFrame) -> pd.DataFrame:
-    """One block side, collected through Arrow and converted to pandas on the
-    calling thread: on the TPC-DS benchmark this peaks ~1.5 MB lower in
-    driver RSS than ``toPandas`` (which copies its converted columns)."""
-    return rel.toArrow().to_pandas(use_threads=False)
-
-
-def _fetch_sides(spark: SparkSession, blocks: list[VectorBlock]) -> list[tuple]:
-    """``(pdf1, pdf2)`` per block: T1's and T2's side, fetched by :func:`_fetch`.
-
-    A shared block is fetched once and is then both sides. Two or more
-    block sides are fetched concurrently, one thread each; every thread
-    inherits the caller's local properties (its job group, scheduler pool),
-    so its jobs are attributed as the caller's own.
-    """
-    rels = [rel for blk in blocks for rel in ([blk.rel2] if blk.shared else [blk.rel1, blk.rel2])]
-    if len(rels) < 2:
-        pdfs = iter([_fetch(rel) for rel in rels])
-    else:
-        fetch = inheritable_thread_target(spark)(_fetch)
-        with ThreadPoolExecutor(len(rels)) as pool:
-            pdfs = iter(list(pool.map(fetch, rels)))
-    out = []
-    for blk in blocks:
-        pdf1 = next(pdfs)
-        out.append((pdf1, pdf1 if blk.shared else next(pdfs)))
-    return out
+def _block_frame(table: pa.Table, ts: TrendsetSpec, blk: BlockLayout) -> pd.DataFrame:
+    """Block ``blk``'s rows of a fetched side relation as ``(vary…, __g,
+    value cols…)``, picked by set tag before ``to_pandas``: a NULL grouping
+    value is then a real NULL, never another grouping set's row."""
+    vals = list(blk.value_cols.values())
+    rows = table.filter(pc.equal(table[B_COL], blk.tag)).select([*ts.vary_cols, blk.g, *vals])
+    return rows.rename_columns([*ts.vary_cols, G_COL, *vals]).to_pandas(use_threads=False)
 
 
 def _side_arrays(pdf: pd.DataFrame, vary: tuple[str, ...], value_cols: list[str], domain: pd.Index):
@@ -89,20 +71,28 @@ def block_sides(spec: CompareSpec, pdf1: pd.DataFrame, pdf2: pd.DataFrame, value
 
 def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None) -> list:
     """``(gms, (tids1, m1, vals1), (tids2, m2, vals2))`` per block of
-    :func:`~repro.core.aggregates.plan_vector_blocks`: the block's (g, m)s,
+    :func:`~repro.core.aggregates.plan_sides`' layout: the block's (g, m)s,
     then its :func:`block_sides`, one value array per (g, m).
 
-    Runs one Spark action per block side (a shared block: one, whose two
-    sides are then one tuple). Each block side is read once, so inside the
-    caller's ``persisted()`` scope only the merged partials that several
-    block sides read are persisted.
+    Runs one Spark action per distinct trendset side, persisting nothing:
+    T2's side relation is fetched through Arrow, and T1's too unless T1 is
+    a slice of T2, whose rows are then filtered out of T2's table. A
+    shared block (identical trendsets) is decoded once.
     """
-    blocks = plan_vector_blocks(df, spec, groups)
-    fetched = _fetch_sides(df.sparkSession, blocks)
-    return [
-        (list(blk.value_cols), *block_sides(spec, pdf1, pdf2, list(blk.value_cols.values())))
-        for blk, (pdf1, pdf2) in zip(blocks, fetched)
-    ]
+    side1, side2, layout = plan_sides(df, spec, groups)
+    table2 = side2.toArrow()
+    if side1 is not None:
+        table1 = side1.toArrow()
+    else:
+        table1 = table2
+        for c, v in slice_filters(spec).items():
+            table1 = table1.filter(pc.equal(table1[c], v))
+    out = []
+    for blk in layout:
+        pdf2 = _block_frame(table2, spec.t2, blk)
+        pdf1 = pdf2 if spec.same_trendsets else _block_frame(table1, spec.t1, blk)
+        out.append((list(blk.value_cols), *block_sides(spec, pdf1, pdf2, list(blk.value_cols.values()))))
+    return out
 
 
 def select_rows(spec: CompareSpec, parts: list, score: np.ndarray, k: int, ascending: bool) -> list[tuple]:

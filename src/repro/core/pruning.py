@@ -2,10 +2,11 @@
 
 Fetch → Summarize → Bound → Prune → refine in rounds → Select:
 
-1. **Fetch** — each block side is read once, through Arrow, into dense
-   (trends × grouping values) key masks and value arrays
-   (:func:`repro.core.exact.block_arrays`, the exact top-k's fetch): one
-   Spark action per block side, none after it.
+1. **Fetch** — each distinct trendset side's aggregate (all of its blocks
+   in one grouping-sets relation) is read once, through Arrow, and split
+   into dense (trends × grouping values) key masks and value arrays per
+   block (:func:`repro.core.exact.block_arrays`, the exact top-k's
+   fetch): one Spark action per distinct side, none after it.
 2. **Summarize** — each trend is summarized by *segment aggregates*
    (COUNT, SUM, MIN, MAX per segment) plus its key bitmap (the paper's
    bitmap, used to COUNT matching tuples between trends). Segment count
@@ -351,7 +352,7 @@ def compare_topk_pruned(
     restricted to the top-k pairs (ordered best-first); with
     ``return_stats=True`` also returns a :class:`PruneStats`. Runs the
     Spark jobs of :func:`~repro.core.exact.compare_topk_exact`: one Arrow
-    fetch per block side.
+    fetch per distinct trendset side.
     """
     if spec.scorer.agg not in ("SUM", "AVG"):
         raise ValueError(

@@ -13,7 +13,9 @@ from repro.oracle import assert_equivalent
 
 @pytest.fixture(scope="session", autouse=True)
 def _tuned(spark):
-    """Coalesce tiny shuffles: see repro.bench.harness.tune_session."""
+    """Tune the shared session as the benchmarks do
+    (:func:`repro.bench.harness.tune_session`): it sets the shuffle
+    partition count, so the root ``spark`` fixture leaves it unset."""
     from repro.bench.harness import tune_session
 
     tune_session(spark)

@@ -1,11 +1,15 @@
 """Aggregation layer: merge groups, side sharing, slice derivation (§4.2),
-and the per-call scope that persists the aggregates."""
+the per-call scope that persists the aggregates, and the split of a
+side's grouping-sets aggregate into blocks."""
+import datetime
+
 import pytest
 from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core import pruning
 from repro.core.aggregates import (
+    B_COL,
     G_COL,
     V_COL,
     MergeGroup,
@@ -13,13 +17,19 @@ from repro.core.aggregates import (
     gm_relations,
     persisted,
     same_grouping_groups,
+    side_aggregate,
     slice_filters,
 )
 from repro.core.compare import EXACT_STRATEGIES, TOPK_STRATEGIES, compare, compare_topk
+from repro.core.exact import compare_topk_exact
 from repro.core.pruning import compare_topk_pruned
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, TrendsetSpec
+from repro.core.sql_gen import verbose_sql
+from repro.core.trendwise import compare_trendwise
+from repro.oracle import assert_equivalent
 
 from .spec_catalog import CATALOG, fixture_for
+from .test_exact import ALL_PAIRS
 
 
 def ts(*terms):
@@ -209,3 +219,85 @@ class TestPersistedScope:
         before = _persistent_rdds(spark)
         compare(df, spec, strategy).collect()
         assert _persistent_rdds(spark) == before
+
+
+
+def _driver_and_lazy_paths(df, spec, sql, groups=None):
+    """The exact top-k, Φp and lazy trendwise, over ``groups`` (None: the
+    paths' own groups), all give the rows of DuckDB's ``sql``."""
+    if groups is None:
+        got = [compare_topk(df, spec, ALL_PAIRS, strategy=s) for s in ("trendwise", "compare")]
+        got.append(compare(df, spec, "trendwise"))
+    else:
+        got = [
+            compare_topk_exact(df, spec, ALL_PAIRS, groups=groups),
+            compare_topk_pruned(df, spec, ALL_PAIRS, groups=groups),
+            compare_trendwise(df, spec, groups),
+        ]
+    for out in got:
+        assert_equivalent(out, sql, R=df)
+
+
+class TestGroupingSetSplit:
+    """A side's blocks share one grouping-sets aggregate, and the fetch splits
+    it by grouping set: a grouping column is NULL on every other set's rows."""
+
+    def test_null_grouping_value_is_not_another_sets_row(self, spark):
+        rows = [
+            (c, d, None if (d + k) % 5 == 0 else d // 7, float((d % 7) * k + d))
+            for k, c in enumerate("abcd", 1) for d in range(14)
+        ]
+        df = spark.createDataFrame(rows, "city string, day long, week long, revenue double")
+        day, week = GM("day", "revenue"), GM("week", "revenue")
+        spec = CompareSpec(ts(("city",)), ts(("city",)), (day, week))
+        side, layout = side_aggregate(df, spec.t2, same_grouping_groups(spec.gms))
+        assert [blk.g for blk in layout] == ["day", "week"]
+        assert side.filter(F.col("week").isNull()).count() == 14 * 4 + 4  # day set + real NULLs
+        _driver_and_lazy_paths(df, spec, verbose_sql(spec, "R", dialect="duckdb"))
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["two-single", "merged-and-single"])
+    def test_two_blocks_on_one_grouping_column(self, flight_df, merged):
+        """Two groups with a block on ``week`` each: the side aggregate holds
+        the (airport, week) set's rows once (a SUM and a COUNT would double
+        otherwise), and each block reads its own measures."""
+        arr, dep = GM("week", "arr_delay", "SUM"), GM("week", "dep_delay", "COUNT")
+        day = GM("day", "arr_delay", "SUM")
+        groups = (
+            [MergeGroup((day, dep)), MergeGroup((arr,))] if merged
+            else [MergeGroup((arr,)), MergeGroup((dep,)), MergeGroup((day,))]
+        )
+        spec = CompareSpec(ts(("airport",)), ts(("airport",)), (arr, dep, day))
+        side, layout = side_aggregate(flight_df, spec.t2, groups)
+        weeks = [blk for blk in layout if blk.g == "week"]
+        assert len(weeks) == 2
+        n_trend_weeks = flight_df.select("airport", "week").distinct().count()
+        for blk in weeks:
+            assert side.filter(F.col(B_COL) == blk.tag).count() == n_trend_weeks
+        if not merged:
+            assert weeks[0].tag == weeks[1].tag  # one grouping set, aggregated once
+        _driver_and_lazy_paths(flight_df, spec, verbose_sql(spec, "R", dialect="duckdb"), groups)
+
+    def test_slice_values_with_quotes_backslashes_and_dates(self, spark):
+        """A slice T1 is filtered out of T2's fetched table on the driver, and
+        out of T2's relation in the lazy plan: a value holding a quote and a
+        backslash, or a date, picks the same trend as in DuckDB."""
+        start = datetime.date(2024, 1, 1)
+        cities = ("o'x\\y", "p", "q\\'")
+        rows = [
+            (c, start + datetime.timedelta(days=b), w, float(w * b + (w % 3) * b * b))
+            for b, c in enumerate(cities, 1) for w in range(6)
+        ]
+        df = spark.createDataFrame(rows, "city string, day date, week long, revenue double")
+        for col, value in (("city", cities[0]), ("city", cities[2]), ("day", start + datetime.timedelta(days=2))):
+            spec = CompareSpec(ts((col, value)), ts((col,)), (GM("week", "revenue"),))
+            # constraint columns compared as text: the oracle reads a DATE back as a timestamp
+            keys = {f"{p}_{col}": f"CAST({p}_{col} AS VARCHAR) AS {p}_{col}" for p in "lr"}
+            sql = f"SELECT * REPLACE ({', '.join(keys.values())}) FROM ({verbose_sql(spec, 'R')})"
+            for out in (
+                *(compare_topk(df, spec, ALL_PAIRS, strategy=s) for s in ("trendwise", "compare")),
+                compare(df, spec, "trendwise"),
+            ):
+                for c in keys:
+                    out = out.withColumn(c, out[c].cast("string"))
+                assert out.count() == len(cities) - 1
+                assert_equivalent(out, sql, R=df)

@@ -200,12 +200,14 @@ def test_slice_size_does_not_change_results(request, monkeypatch, name):
     assert sliced == whole
 
 
-@pytest.mark.parametrize("name,block_sides", [("q2", 1), ("q4", 2), ("q3", 4)])
-def test_one_action_per_block_side_and_local_result(request, spark, name, block_sides):
-    """Each block side is one Spark action, persisted by nothing (a cache
-    would add a job to build it). Under adaptive execution, the session's
-    default, an action over a block's one shuffle is two jobs: the shuffle's
-    map stage, then the result."""
+@pytest.mark.parametrize("name,sides", [("q1", 1), ("q2", 1), ("q3", 2), ("q4", 1)])
+def test_one_action_per_trendset_side_and_local_result(request, spark, name, sides):
+    """Each distinct trendset side is one Spark action, whatever its number
+    of blocks, persisted by nothing (a cache would add a job to build it): a
+    T1 that is T2 (q2, q4) or a slice of it (q1) runs no action of its own.
+    Under adaptive execution, the session's default, an action over a
+    side's one shuffle is two jobs: the shuffle's map stage, then the
+    result."""
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
     sc = spark.sparkContext
@@ -214,6 +216,6 @@ def test_one_action_per_block_side_and_local_result(request, spark, name, block_
         out = compare_topk(df, spec, 3, strategy="trendwise")
     with _job_group(sc, f"exact-collect-{name}") as collect_jobs:
         rows = out.collect()
-    assert len(call_jobs()) == block_sides * jobs_per_action
+    assert len(call_jobs()) == sides * jobs_per_action
     assert collect_jobs() == []
     assert len(rows) == 3

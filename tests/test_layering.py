@@ -21,6 +21,10 @@
   calls ``scorer.dense`` and ``pairs.trend_rows``, so the driver top-k,
   Φp, the client baselines and the lazy trendwise tasks read block sides
   one way.
+* One fetch: in ``core`` only the exact path's fetch
+  (``exact.block_arrays``) calls ``toArrow`` or ``toPandas``, so every driver path collects a
+  trendset side's aggregate once, the same way (the middleware
+  baseline's simulated network hop, in ``baselines``, is its own).
 * One scoring kernel: only the masked scoring kernel
   (``scorer.score_pairs``) and Φp's bounds kernel (``pruning.bound_pairs``)
   call ``scorer.diff_np``, so every exact score, Φp's refined segments
@@ -200,6 +204,41 @@ def test_detector_flags_decode_calls(tmp_path):
     assert calls_outside(src, "trend_rows", None) == [
         "m.py:4: in _side_arrays", "m.py:8: in <module>",
     ]
+
+
+SIDE_FETCH = SRC / "core" / "exact.py", "block_arrays"
+
+
+def test_one_fetch():
+    """In ``core`` only the exact path's fetch collects a relation to the driver."""
+    home, fetch = SIDE_FETCH
+    files = sorted((SRC / "core").rglob("*.py"))
+    assert home in files
+    hits = [
+        hit for f in files for callee in ("toArrow", "toPandas")
+        for hit in calls_outside(f, callee, fetch if f == home else None)
+    ]
+    assert hits == []
+
+
+def test_detector_flags_fetch_calls(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def block_arrays(side):\n"
+        "    return side.toArrow()\n"
+        "def _side_frames(blocks):\n"
+        "    return [b.rel1.toPandas() for b in blocks]\n"
+        "def _score_block(block):\n"
+        "    def fetch():\n"
+        "        return block.rel2.toArrow().to_pandas()\n"
+        "    return fetch\n"
+        "ROWS = spark.range(1).toPandas()\n"
+    )
+    assert calls_outside(src, "toPandas", "block_arrays") == [
+        "m.py:4: in _side_frames", "m.py:9: in <module>",
+    ]
+    assert calls_outside(src, "toArrow", "block_arrays") == ["m.py:7: in fetch"]
+    assert calls_outside(src, "toArrow", None) == ["m.py:2: in block_arrays", "m.py:7: in fetch"]
 
 
 DIFF_KERNELS = {SRC / "core" / "scorer.py": "score_pairs", SRC / "core" / "pruning.py": "bound_pairs"}

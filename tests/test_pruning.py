@@ -246,8 +246,8 @@ class TestSparkActions:
         assert [r["score"] for r in got] == pytest.approx([r["score"] for r in exact])
 
     def test_concurrent_actions_keep_callers_job_group(self, request, spark):
-        # q4 has two blocks (day, week), fetched concurrently
-        dataset, spec = CATALOG["q4"]
+        # q3 fetches two trendset sides (A0's and A1's), one action each
+        dataset, spec = CATALOG["q3"]
         df = request.getfixturevalue(fixture_for(dataset))
         sc = spark.sparkContext
         marks = []
@@ -261,17 +261,18 @@ class TestSparkActions:
         (before,), in_call, (after,) = marks
         with _job_group(sc, "phi-jobs-exact") as exact_jobs:
             compare_topk_exact(df, spec, 3).collect()
-        assert len(in_call) == len(exact_jobs())  # one fetch per block side
+        assert len(in_call) == len(exact_jobs())  # one fetch per trendset side
         assert in_call == list(range(before + 1, after))
 
     @pytest.mark.parametrize(
         "name,merged", [("q2", False), ("q3", False), ("q4", False), ("q4", True)]
     )
     def test_runs_the_exact_paths_jobs(self, request, spark, name, merged):
-        """One Arrow fetch per block side, as on the exact path: no domain
-        collect, no summary, no survivor fetch, and no persisted block (a
-        cache would add a job to build it). Under adaptive execution, the
-        session's default, an action over a block's one shuffle is two jobs."""
+        """One Arrow fetch per distinct trendset side, as on the exact path:
+        no domain collect, no summary, no survivor fetch, and no persisted
+        block (a cache would add a job to build it). Under adaptive
+        execution, the session's default, an action over a side's one
+        shuffle is two jobs."""
         dataset, spec = CATALOG[name]
         df = request.getfixturevalue(fixture_for(dataset))
         groups = [MergeGroup(spec.gms)] if merged else None
@@ -285,9 +286,9 @@ class TestSparkActions:
             counts.append(len(jobs()))
         assert counts[0] == counts[1]
         if not merged:
-            block_sides = {"q2": 1, "q3": 4, "q4": 2}[name]
+            sides = {"q2": 1, "q3": 2, "q4": 1}[name]
             per_action = 2 if spark.conf.get("spark.sql.adaptive.enabled") == "true" else 1
-            assert counts[0] == block_sides * per_action
+            assert counts[0] == sides * per_action
 
 
 class TestNanAndEmpty:
