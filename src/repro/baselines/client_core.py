@@ -11,25 +11,20 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.aggregates import V_COL
-from repro.core.exact import all_pairs_frame, block_sides, topk_rows
+from repro.core.exact import all_pairs_frame, topk_rows
 from repro.core.pairs import output_rows
 from repro.core.pruning import phi_topk
 from repro.core.spec import CompareSpec, output_cols
 
 
-def result_frame(
-    spec: CompareSpec, fetched: list[tuple[pd.DataFrame, pd.DataFrame]], k: int | None,
-    ascending: bool,
-) -> pd.DataFrame:
+def result_frame(spec: CompareSpec, arrays: list, k: int | None, ascending: bool) -> pd.DataFrame:
     """The client's COMPARE output: every pair's score, or the top-k (``k``).
 
-    ``fetched`` holds each (g, m)'s two aggregated frames ``(vary…, __g,
-    __v)``, one object for both sides when they are shared. A SUM/AVG
-    top-k prunes on one summary per trend (Φp with one segment), then
-    scores the survivors exactly; any other query scores every pair.
+    ``arrays`` are the decoded blocks of the fetched side relations
+    (:func:`~repro.core.exact.table_arrays`). A SUM/AVG top-k prunes on one
+    summary per trend (Φp with one segment), then scores the survivors
+    exactly; any other query scores every pair.
     """
-    arrays = [([gm], *block_sides(spec, p1, p2, [V_COL])) for gm, (p1, p2) in zip(spec.gms, fetched)]
     if k is None:
         return all_pairs_frame(spec, arrays)
     if spec.scorer.agg in ("SUM", "AVG"):

@@ -1,10 +1,11 @@
 """Middleware baseline (paper §8 setup; mimics Zenvisage/SeeDB).
 
-The middleware issues one select-aggregate query per (side, g, m),
-ships the aggregate result over the network to a client process, and
-compares trends client-side (with the trendwise + summary-pruning
-optimizations, as in the paper). The network is simulated: the Arrow
-payload is actually serialized, a transfer delay of
+The middleware issues one select-aggregate query per distinct trendset
+side, the side's blocks in one grouping-sets aggregate, as SeeDB shares
+one scan across its aggregates; it ships each result over the network to
+a client process, and compares trends client-side (with the trendwise +
+summary-pruning optimizations, as in the paper). The network is
+simulated: the Arrow payload is actually serialized, a transfer delay of
 ``bytes / bandwidth`` is injected (the paper measured a 10 MB/s link),
 and the payload is actually deserialized — reproducing the transfer +
 (de)serialization bottleneck the paper attributes to this approach.
@@ -12,25 +13,33 @@ and the payload is actually deserialized — reproducing the transfer +
 """
 from __future__ import annotations
 
-import pickle
 import time
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 
-from repro.core.aggregates import build_vector_blocks, gm_relations
+from repro.core.aggregates import plan_sides
+from repro.core.exact import table_arrays
 from repro.core.spec import CompareSpec
 
 from . import client_core as cc
 
 
-def _fetch(rel: DataFrame, bandwidth_mbps: float | None) -> tuple[pd.DataFrame, int]:
-    """Collect an aggregate query result and simulate its network hop."""
-    pdf = rel.toPandas()
-    payload = pickle.dumps(pdf, protocol=pickle.HIGHEST_PROTOCOL)
+def _transfer(payload: pa.Buffer, bandwidth_mbps: float | None) -> pa.Buffer:
+    """The simulated network hop: ``len(payload) / bandwidth`` seconds."""
     if bandwidth_mbps:
-        time.sleep(len(payload) / (bandwidth_mbps * 1_000_000))
-    return pickle.loads(payload), len(payload)
+        time.sleep(payload.size / (bandwidth_mbps * 1_000_000))
+    return payload
+
+
+def _fetch(rel: DataFrame, bandwidth_mbps: float | None) -> pa.Table:
+    """Collect an aggregate query result and ship it, serialized, over the hop."""
+    table = rel.toArrow()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return pa.ipc.open_stream(_transfer(sink.getvalue(), bandwidth_mbps)).read_all()
 
 
 def compare_middleware(
@@ -40,18 +49,10 @@ def compare_middleware(
     k: int | None = None,
     ascending: bool = True,
     bandwidth_mbps: float | None = 10.0,
-    return_bytes: bool = False,
-):
+) -> pd.DataFrame:
     """COMPARE computed in a middleware client. Returns a pandas frame
-    (the result lives client-side), optionally with total bytes moved."""
-    rels = gm_relations(build_vector_blocks(df, spec), spec)
-    total_bytes = 0
-    fetched = []
-    for gm in spec.gms:
-        r1, r2 = rels[gm]
-        p2, b2 = _fetch(r2, bandwidth_mbps)
-        p1, b1 = (p2, 0) if r1 is r2 else _fetch(r1, bandwidth_mbps)
-        total_bytes += b1 + b2
-        fetched.append((p1, p2))
-    out = cc.result_frame(spec, fetched, k, ascending)
-    return (out, total_bytes) if return_bytes else out
+    (the result lives client-side)."""
+    side1, side2, layout = plan_sides(df, spec)
+    table2 = _fetch(side2, bandwidth_mbps)
+    table1 = None if side1 is None else _fetch(side1, bandwidth_mbps)
+    return cc.result_frame(spec, table_arrays(spec, layout, table2, table1), k, ascending)

@@ -3,8 +3,8 @@
 Inside one :func:`dataset_cache` block, datasets are generated once per
 (name, sf, …) and cached in memory (paper §8 reports warm runs with
 tables in the buffer pool). Every measured execution materializes its
-result; a COMPARE strategy releases the aggregates it persisted before
-it returns, so runs are independent.
+result; no COMPARE strategy or baseline persists an aggregate, so runs
+are independent.
 """
 from __future__ import annotations
 

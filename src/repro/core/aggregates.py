@@ -19,61 +19,30 @@ carry (``__b``) the grouping set they belong to.
 A :class:`VectorBlock` (per :class:`MergeGroup` and grouping column) is
 a view of its group's side relations: its set's rows as ``(vary…, __g,
 value cols…)``, one row per (trend, grouping value) and one value column
-per (g, m). The lazy paths read the views; the per-(g, m) plans (the merged
-join, the UDF and middleware baselines) read each (g, m) as the
-projection ``(vary…, __g, __v)`` of its block (:func:`gm_relations`),
-and persist the views inside a :func:`persisted` scope.
+per (g, m). The lazy paths (the ``merged`` join and the trendwise tasks)
+read the views, each once.
 
-This layer builds relations only and runs no Spark action: the driver
-paths fetch each side relation once (:func:`repro.core.exact.block_arrays`).
+This layer builds relations only, runs no Spark action and persists
+nothing: the driver paths and the client baselines fetch each side
+relation once and decode it with :func:`repro.core.exact.table_arrays`.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 
-from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .spec import GM, CompareSpec, Measure, TrendsetSpec
 
 G_COL = "__g"
-V_COL = "__v"
 #: a side relation's column holding the grouping set of its row (:func:`side_aggregate`)
 B_COL = "__b"
 
-#: The frames the innermost open :func:`persisted` scope has persisted.
-_SCOPE: ContextVar[list[DataFrame] | None] = ContextVar("persisted_scope", default=None)
-
-
-@contextmanager
-def persisted():
-    """Persist the aggregates built in this scope (a context manager or a
-    decorator); unpersist them on exit. A nested scope releases only its own
-    frames: one whose plan is already cached is not persisted again."""
-    frames: list[DataFrame] = []
-    token = _SCOPE.set(frames)
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-        while frames:
-            frames.pop().unpersist()
-
-
-def _persist(df: DataFrame) -> None:
-    """Persist ``df`` for the open scope, if there is one and ``df`` is not cached yet."""
-    frames = _SCOPE.get()
-    if frames is not None and df.storageLevel == StorageLevel.NONE:
-        frames.append(df.persist())
-
-
 def clear_cache() -> None:
-    """No-op. Aggregates are released by the :func:`persisted` scope that
-    persisted them; this stays only because ``perfbench/run.py`` imports it."""
+    """No-op: aggregates are never cached. This stays only because
+    ``perfbench/run.py`` imports it."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +184,7 @@ def _view(side: DataFrame, ts: TrendsetSpec, blk: BlockLayout) -> DataFrame:
     )
 
 
-def plan_vector_blocks(
+def build_vector_blocks(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> list[VectorBlock]:
     """Both sides of every block, as views of its own group's
@@ -234,38 +203,6 @@ def plan_vector_blocks(
             rel1 = rel2 if spec.same_trendsets else _view(side1, spec.t1, blk)
             blocks.append(VectorBlock(blk.g, blk.value_cols, rel1, rel2, rel1 is rel2))
     return blocks
-
-
-def build_vector_blocks(
-    df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
-) -> list[VectorBlock]:
-    """:func:`plan_vector_blocks`, the block views persisted in the open
-    scope: for a caller that reads a block more than once
-    (:func:`gm_relations` once per (g, m))."""
-    blocks = plan_vector_blocks(df, spec, groups)
-    for blk in blocks:
-        for rel in (blk.rel2, blk.rel1):  # a shared block's is cached by then
-            _persist(rel)
-    return blocks
-
-
-def gm_relations(
-    blocks: list[VectorBlock], spec: CompareSpec
-) -> dict[GM, tuple[DataFrame, DataFrame]]:
-    """Both sides of every (g, m) as ``(vary…, __g, __v)`` projections of its block.
-
-    A shared block yields one projection object for both sides, so a
-    consumer can tell (``rel1 is rel2``) that it needs to compute it once.
-    """
-    out = {}
-    for blk in blocks:
-        for gm, vc in blk.value_cols.items():
-            rel2 = blk.rel2.select(*spec.t2.vary_cols, G_COL, F.col(vc).alias(V_COL))
-            rel1 = rel2 if blk.shared else blk.rel1.select(
-                *spec.t1.vary_cols, G_COL, F.col(vc).alias(V_COL)
-            )
-            out[gm] = (rel1, rel2)
-    return out
 
 
 def slice_filters(spec: CompareSpec) -> dict[str, object] | None:

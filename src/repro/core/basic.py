@@ -9,7 +9,9 @@ Catalyst plans it.
 
 ``compare_merged(df, spec, groups)`` is the same join topology over
 *merged* group-by aggregates (the first §4.2 optimization alone, used
-for the Fig. 9b ablation).
+for the Fig. 9b ablation): one join per block of (g, m)s sharing a
+grouping column, all of the block's scores computed by one aggregate
+over it, instead of one join per (g, m).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from . import scorer as sc
-from .aggregates import G_COL, V_COL, MergeGroup, build_vector_blocks, gm_relations
+from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks
 from .pairs import pair_condition, pair_key_cols, rename_side, with_fixed_literals
 from .spec import CompareSpec, output_cols
 from .sql_gen import verbose_sql
@@ -75,31 +77,44 @@ def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
     return with_fixed_literals(out, df, spec)
 
 
-def _score_gm(df: DataFrame, spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFrame:
-    a = rename_side(rel1, spec.t1, 1, {G_COL: "__g1", V_COL: "__v1"})
-    b = rename_side(rel2, spec.t2, 2, {G_COL: "__g2", V_COL: "__v2"})
+def _score_block(df: DataFrame, spec: CompareSpec, blk: VectorBlock) -> DataFrame:
+    """One join of the block's two sides on the grouping value, one scorer
+    aggregate per (g, m) of the block, unpivoted to a row per (pair, g, m)."""
+    vcs = list(blk.value_cols.values())
+    a = rename_side(blk.rel1, spec.t1, 1, {G_COL: "__g1", **{vc: vc + "_1" for vc in vcs}})
+    b = rename_side(blk.rel2, spec.t2, 2, {G_COL: "__g2", **{vc: vc + "_2" for vc in vcs}})
     cond = F.col("__g1") == F.col("__g2")
     pc = pair_condition(spec)
     if pc is not None:
         cond = cond & pc
     joined = a.join(b, cond, "inner")
-    diff = sc.diff_col(F.col("__v1"), F.col("__v2"), spec.scorer.p)
+    scores = [
+        sc.agg_col(spec.scorer, sc.diff_col(F.col(vc + "_1"), F.col(vc + "_2"), spec.scorer.p))
+        .alias(f"__s{j}")
+        for j, vc in enumerate(vcs)
+    ]
     keys = pair_key_cols(spec)
-    if keys:
-        scored = joined.groupBy(*keys).agg(
-            sc.agg_col(spec.scorer, diff).alias("score")
+    # both sides fully fixed: a single global score row per (g, m)
+    scored = joined.groupBy(*keys).agg(*scores) if keys else joined.agg(*scores)
+    # one generator, not a union of per-(g, m) projections: column pruning
+    # would make each branch its own plan, each recomputing the join
+    rows = F.array(*[
+        F.struct(
+            F.lit(g).alias("grouping"), F.lit(m.name).alias("measure"),
+            F.col(f"__s{j}").alias("score"),
         )
-    else:  # both sides fully fixed: a single global score row
-        scored = joined.agg(sc.agg_col(spec.scorer, diff).alias("score"))
-        # the aggregate emits one row even with no matches; drop it then
-        scored = scored.filter(F.col("score").isNotNull())
-    labelled = with_fixed_literals(scored, df, spec).withColumn("grouping", F.lit(gm[0]))
-    return labelled.withColumn("measure", F.lit(gm[1].name)).select(*output_cols(spec))
+        for j, (g, m) in enumerate(blk.value_cols)
+    ])
+    out = scored.select(*keys, F.inline(rows))
+    if not keys:  # the global aggregate emits a row even with no matches; drop it then
+        out = out.filter(F.col("score").isNotNull())
+    return with_fixed_literals(out, df, spec).select(*output_cols(spec))
 
 
 def compare_merged(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> DataFrame:
-    """Basic join topology over merged/shared group-by aggregates."""
-    rels = gm_relations(build_vector_blocks(df, spec, groups), spec)
-    return reduce(DataFrame.unionByName, [_score_gm(df, spec, gm, *rels[gm]) for gm in spec.gms])
+    """Basic join topology over merged/shared group-by aggregates: one join
+    per block, whatever its number of (g, m)s."""
+    blocks = build_vector_blocks(df, spec, groups)
+    return reduce(DataFrame.unionByName, [_score_block(df, spec, blk) for blk in blocks])

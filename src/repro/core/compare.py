@@ -27,7 +27,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .aggregates import persisted
 from .basic import compare_basic, compare_merged
 from .exact import compare_topk_exact
 from .pairs import local_frame
@@ -95,26 +94,25 @@ def compare_topk(
     fds: dict[str, str] | None = None,
 ) -> DataFrame:
     """Top-k comparative query (§3.2), via an exact top-k or the Φp operator,
-    computed inside the call's ``persisted()`` scope as a local relation.
+    as a local relation.
 
     ``trendwise``/``optimized`` (and ``compare`` under a MIN/MAX scorer)
     score every candidate pair on the driver (:mod:`repro.core.exact`);
     ``basic``/``merged`` sort their lazy ``compare()`` output.
     """
-    with persisted():
-        if strategy == "pruned":
-            return compare_topk_pruned(df, spec, k, ascending=ascending, early_termination=False)
-        if strategy == "compare":
-            groups = _optimizer_groups(df, spec, fds)
-            if spec.scorer.agg in ("MIN", "MAX"):
-                return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
-            return compare_topk_pruned(
-                df, spec, k, ascending=ascending, early_termination=True, groups=groups
-            )
-        if strategy in ("trendwise", "optimized"):
-            groups = _optimizer_groups(df, spec, fds) if strategy == "optimized" else None
+    if strategy == "pruned":
+        return compare_topk_pruned(df, spec, k, ascending=ascending, early_termination=False)
+    if strategy == "compare":
+        groups = _optimizer_groups(df, spec, fds)
+        if spec.scorer.agg in ("MIN", "MAX"):
             return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
-        if strategy not in EXACT_STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; pick one of {TOPK_STRATEGIES}")
-        top = topk_exact(compare(df, spec, strategy, fds=fds), k, ascending)
-        return local_frame(df.sparkSession, top.collect(), top.schema)
+        return compare_topk_pruned(
+            df, spec, k, ascending=ascending, early_termination=True, groups=groups
+        )
+    if strategy in ("trendwise", "optimized"):
+        groups = _optimizer_groups(df, spec, fds) if strategy == "optimized" else None
+        return compare_topk_exact(df, spec, k, ascending=ascending, groups=groups)
+    if strategy not in EXACT_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {TOPK_STRATEGIES}")
+    top = topk_exact(compare(df, spec, strategy, fds=fds), k, ascending)
+    return local_frame(df.sparkSession, top.collect(), top.schema)

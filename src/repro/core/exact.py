@@ -14,10 +14,12 @@ kernel :func:`~repro.core.scorer.score_pairs`, and the k best, in
 
 This is Φp without the bounds (:mod:`repro.core.pruning` reads the same
 :func:`block_arrays`), and the shared-scan, client-side scoring of SeeDB
-(Vartak et al., PVLDB 8(13), 2015). Lazy ``compare()``, whose output is
-O(pairs) and must stay a relation, runs the same decode and scoring per
-pair of trend chunks inside Spark tasks (:mod:`repro.core.trendwise`,
-through :func:`all_pairs_frame`).
+(Vartak et al., PVLDB 8(13), 2015); the client baselines, which model
+SeeDB, decode the side relations they fetch with the same
+:func:`table_arrays`. Lazy ``compare()``, whose output is O(pairs) and
+must stay a relation, runs the same decode and scoring per pair of trend
+chunks inside Spark tasks (:mod:`repro.core.trendwise`, through
+:func:`all_pairs_frame`).
 """
 from __future__ import annotations
 
@@ -69,21 +71,19 @@ def block_sides(spec: CompareSpec, pdf1: pd.DataFrame, pdf2: pd.DataFrame, value
     return side1, side2
 
 
-def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None) -> list:
+def table_arrays(
+    spec: CompareSpec, layout: list[BlockLayout], table2: pa.Table, table1: pa.Table | None
+) -> list:
     """``(gms, (tids1, m1, vals1), (tids2, m2, vals2))`` per block of
-    :func:`~repro.core.aggregates.plan_sides`' layout: the block's (g, m)s,
-    then its :func:`block_sides`, one value array per (g, m).
+    ``layout``: the block's (g, m)s, then its :func:`block_sides`, one value
+    array per (g, m).
 
-    Runs one Spark action per distinct trendset side, persisting nothing:
-    T2's side relation is fetched through Arrow, and T1's too unless T1 is
-    a slice of T2, whose rows are then filtered out of T2's table. A
-    shared block (identical trendsets) is decoded once.
+    ``table2`` and ``table1`` are T2's and T1's fetched side relations
+    (:func:`~repro.core.aggregates.plan_sides`); a ``table1`` of None is a
+    slice of T2 (identical trendsets included), whose rows are filtered
+    out of ``table2``. A shared block (identical trendsets) is decoded once.
     """
-    side1, side2, layout = plan_sides(df, spec, groups)
-    table2 = side2.toArrow()
-    if side1 is not None:
-        table1 = side1.toArrow()
-    else:
+    if table1 is None:
         table1 = table2
         for c, v in slice_filters(spec).items():
             table1 = table1.filter(pc.equal(table1[c], v))
@@ -93,6 +93,14 @@ def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | No
         pdf1 = pdf2 if spec.same_trendsets else _block_frame(table1, spec.t1, blk)
         out.append((list(blk.value_cols), *block_sides(spec, pdf1, pdf2, list(blk.value_cols.values()))))
     return out
+
+
+def block_arrays(df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None) -> list:
+    """:func:`table_arrays` of :func:`~repro.core.aggregates.plan_sides`'
+    relations, fetched through Arrow: one Spark action per distinct trendset
+    side (none for a T1 that is a slice of T2), persisting nothing."""
+    side1, side2, layout = plan_sides(df, spec, groups)
+    return table_arrays(spec, layout, side2.toArrow(), None if side1 is None else side1.toArrow())
 
 
 def select_rows(spec: CompareSpec, parts: list, score: np.ndarray, k: int, ascending: bool) -> list[tuple]:

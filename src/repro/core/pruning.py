@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import DataFrame
 
-from .aggregates import MergeGroup, persisted
+from .aggregates import MergeGroup
 from .exact import block_arrays, select_rows
 from .pairs import candidate_pairs, local_frame, output_rows, output_schema
 from .scorer import diff_np, score_from_sum, score_pairs
@@ -333,7 +333,6 @@ def phi_topk(
     return select_rows(spec, parts, score, k, ascending), phi.stats
 
 
-@persisted()
 def compare_topk_pruned(
     df: DataFrame,
     spec: CompareSpec,

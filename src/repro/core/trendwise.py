@@ -26,7 +26,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
-from .aggregates import G_COL, MergeGroup, VectorBlock, plan_vector_blocks
+from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks
 from .exact import all_pairs_frame, block_sides
 from .pairs import output_schema, pair_key_cols
 from .spec import CompareSpec, TrendsetSpec, side_prefix
@@ -99,7 +99,7 @@ def compare_trendwise(
     """
     c, schema = n_chunks(df.sparkSession), output_schema(df, spec)
     out = reduce(DataFrame.unionByName, [
-        _score_block(b, spec, c, pair_filter, schema) for b in plan_vector_blocks(df, spec, groups)
+        _score_block(b, spec, c, pair_filter, schema) for b in build_vector_blocks(df, spec, groups)
     ])
     if pair_filter is not None:
         out = out.join(F.broadcast(pair_filter), on=pair_key_cols(spec), how="left_semi")

@@ -1,21 +1,17 @@
 """Aggregation layer: merge groups, side sharing, slice derivation (§4.2),
-the per-call scope that persists the aggregates, and the split of a
-side's grouping-sets aggregate into blocks."""
+calls that leave nothing persisted, and the split of a side's
+grouping-sets aggregate into blocks."""
 import datetime
 
 import pytest
-from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core import pruning
 from repro.core.aggregates import (
     B_COL,
     G_COL,
-    V_COL,
     MergeGroup,
     build_vector_blocks,
-    gm_relations,
-    persisted,
     same_grouping_groups,
     side_aggregate,
     slice_filters,
@@ -37,14 +33,20 @@ def ts(*terms):
 
 
 GM = lambda g, m, a="AVG": (g, Measure(a, m))
+V_COL = "__v"
+
+
+def gm_view(blocks, trendset, gm):
+    """``gm``'s ``(vary…, __g, __v)`` projection of side 1 of its block."""
+    blk = next(b for b in blocks if gm in b.value_cols)
+    return blk.rel1.select(*trendset.vary_cols, G_COL, F.col(blk.value_cols[gm]).alias(V_COL))
 
 
 def aggregate(df, trendset, groups, gm):
     """The ``(vary…, __g, __v)`` relation of ``gm`` for one trendset: side 1
-    of the trendset compared against itself, sides not shared."""
+    of the trendset compared against itself."""
     spec = CompareSpec(trendset, trendset, tuple(x for grp in groups for x in grp.gms))
-    blocks = build_vector_blocks(df, spec, groups)
-    return gm_relations(blocks, spec)[gm][0]
+    return gm_view(build_vector_blocks(df, spec, groups), trendset, gm)
 
 
 class TestMergeGroups:
@@ -132,19 +134,17 @@ class TestSideSharing:
         spec = CompareSpec(ts(("airport",)), ts(("airport",)), (GM("day", "arr_delay"),))
         blocks = build_vector_blocks(flight_df, spec)
         assert blocks[0].shared and blocks[0].rel1 is blocks[0].rel2
-        rel1, rel2 = gm_relations(blocks, spec)[spec.gms[0]]
-        assert rel1 is rel2
 
     def test_slice_derivation_matches_direct(self, flight_df):
         spec = CompareSpec(ts(("airport", "A0")), ts(("airport",)), (GM("day", "arr_delay"),))
         gm = spec.gms[0]
-        shared = gm_relations(build_vector_blocks(flight_df, spec), spec)
+        sliced = gm_view(build_vector_blocks(flight_df, spec), spec.t1, gm)
         direct = (
             flight_df.filter("airport = 'A0'").groupBy("day").agg(F.avg("arr_delay").alias(V_COL))
             .withColumnRenamed("day", G_COL).select(G_COL, V_COL)
         )
         key = [G_COL]
-        a = shared[gm][0].toPandas().sort_values(key).reset_index(drop=True)
+        a = sliced.toPandas().sort_values(key).reset_index(drop=True)
         b = direct.toPandas().sort_values(key).reset_index(drop=True)
         assert a.columns.tolist() == b.columns.tolist() == [G_COL, V_COL]
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()
@@ -154,10 +154,6 @@ def _persistent_rdds(spark) -> int:
     return spark.sparkContext._jsc.getPersistentRDDs().size()
 
 
-def _cached(df) -> bool:
-    return df.storageLevel != StorageLevel.NONE
-
-
 def _fresh(df, case: str):
     """``df`` under a plan of its own, so blocks another test left cached
     cannot stand in for (and hide) the ones this test builds."""
@@ -165,7 +161,7 @@ def _fresh(df, case: str):
 
 
 class TestPersistedScope:
-    """A call persists its aggregates only while it runs (none are left)."""
+    """A call leaves no aggregate persisted, also when it raises."""
 
     @pytest.mark.parametrize("strategy", TOPK_STRATEGIES)
     def test_topk_call_leaves_nothing_persisted(self, spark, flight_df, strategy):
@@ -200,17 +196,6 @@ class TestPersistedScope:
         with pytest.raises(RuntimeError, match="summary failed"):
             compare_topk(df, spec, 3, strategy="compare")
         assert _persistent_rdds(spark) == before
-
-    def test_inner_call_keeps_outer_scope_blocks(self, flight_df):
-        _, spec = CATALOG["q4"]
-        df = _fresh(flight_df, "nested")
-        with persisted():
-            blocks = build_vector_blocks(df, spec)
-            rels = [r for b in blocks for r in (b.rel1, b.rel2)]
-            assert all(_cached(r) for r in rels)
-            compare_topk(df, spec, 3, strategy="trendwise").collect()
-            assert all(_cached(r) for r in rels)
-        assert not any(_cached(r) for r in rels)
 
     @pytest.mark.parametrize("strategy", EXACT_STRATEGIES)
     def test_lazy_compare_persists_nothing(self, spark, flight_df, strategy):

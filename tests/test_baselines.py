@@ -6,13 +6,14 @@ import pytest
 from repro.baselines.middleware import compare_middleware
 from repro.baselines.naive_sql import compare_naive_sql, compare_topk_naive_sql
 from repro.baselines.udf import compare_udf
-from repro.core.aggregates import gm_relations, plan_vector_blocks
+from repro.core.aggregates import plan_sides
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.pairs import output_schema
 from repro.core.spec import CompareSpec, ConstraintTerm, Measure, Scorer, TrendsetSpec
 
 from .conftest import check_against_oracle
 from .spec_catalog import CATALOG, fixture_for
+from .test_pruning import _job_group
 
 BASELINE_SPECS = ["ex1a", "ex2a", "q1", "q2", "q3", "q4", "tpcds_q1", "avg_scorer", "manhattan"]
 
@@ -149,63 +150,69 @@ def test_verbose_sql_tells_inputs_apart_by_column_names(sales_df):
         check_against_oracle(compare_naive_sql(df, spec), spec, df)
 
 
-def test_middleware_reports_bytes(request, flight_df):
-    _, spec = CATALOG["q1"]
-    _, nbytes = compare_middleware(
-        flight_df, spec, bandwidth_mbps=None, return_bytes=True
-    )
-    assert nbytes > 0
-
-
-@pytest.mark.parametrize("name, fetches_per_gm", [("q2", 1), ("q1", 2)])
-def test_middleware_fetches_shared_aggregate_once(request, monkeypatch, name, fetches_per_gm):
-    """Identical trendsets share one aggregate per (g, m), fetched once; a
-    slice-derived T1 is a second query."""
+@pytest.fixture
+def hop_bytes(monkeypatch):
+    """The sizes of the payloads the middleware ships over its simulated hop."""
     import repro.baselines.middleware as mw
 
+    transfer, sizes = mw._transfer, []
+
+    def recording(payload, bandwidth_mbps):
+        sizes.append(payload.size)
+        return transfer(payload, bandwidth_mbps)
+
+    monkeypatch.setattr(mw, "_transfer", recording)
+    return sizes
+
+
+def test_middleware_reports_bytes(flight_df, hop_bytes):
+    _, spec = CATALOG["q1"]
+    compare_middleware(flight_df, spec, bandwidth_mbps=None)
+    assert len(hop_bytes) == 1 and hop_bytes[0] > 0
+
+
+@pytest.mark.parametrize("name,sides", [("q1", 1), ("q2", 1), ("q3", 2), ("q4", 1)])
+def test_middleware_fetches_shared_aggregate_once(request, spark, name, sides):
+    """Each distinct trendset side is one query, whatever its number of
+    blocks: a T1 that is T2 (q2, q4) or a slice of it (q1) is not fetched
+    again. Under adaptive execution, the session's default, an action over
+    a side's one shuffle is two jobs."""
     dataset, spec = CATALOG[name]
     df = request.getfixturevalue(fixture_for(dataset))
-    fetch, calls = mw._fetch, []
-
-    def counting_fetch(rel, bandwidth_mbps):
-        calls.append(rel)
-        return fetch(rel, bandwidth_mbps)
-
-    monkeypatch.setattr(mw, "_fetch", counting_fetch)
-    compare_middleware(df, spec, bandwidth_mbps=None)
-    assert len(calls) == fetches_per_gm * len(spec.gms)
+    jobs_per_action = 2 if spark.conf.get("spark.sql.adaptive.enabled") == "true" else 1
+    with _job_group(spark.sparkContext, f"middleware-{name}") as jobs:
+        compare_middleware(df, spec, bandwidth_mbps=None)
+    assert len(jobs()) == sides * jobs_per_action
 
 
 def test_udf_ships_shared_aggregate_once(monkeypatch, flight_df):
-    """Identical trendsets share one aggregate per (g, m): the UDF's input
-    carries each of its rows once (448 on q2, not 448 per side), and the
-    result still matches the oracle."""
+    """Identical trendsets share one side relation: the UDF's input carries
+    each of its rows once (not once per side), and the result still matches
+    the oracle."""
     _, spec = CATALOG["q2"]
-    rels = gm_relations(plan_vector_blocks(flight_df, spec), spec)
-    assert all(rels[gm][0] is rels[gm][1] for gm in spec.gms)
+    side1, side2, _ = plan_sides(flight_df, spec)
+    assert side1 is None
     frame = type(flight_df)
-    map_in_pandas, inputs = frame.mapInPandas, []
+    map_in_arrow, inputs = frame.mapInArrow, []
 
     def recording(self, *args, **kw):
         inputs.append(self)
-        return map_in_pandas(self, *args, **kw)
+        return map_in_arrow(self, *args, **kw)
 
-    monkeypatch.setattr(frame, "mapInPandas", recording)
+    monkeypatch.setattr(frame, "mapInArrow", recording)
     out = compare_udf(flight_df, spec)
-    assert [rel.count() for rel in inputs] == [sum(rels[gm][1].count() for gm in spec.gms)]
+    assert [rel.count() for rel in inputs] == [side2.count()]
     check_against_oracle(out, spec, flight_df)
 
 
-def test_middleware_bandwidth_slows_transfer(request, flight_df):
+def test_middleware_bandwidth_slows_transfer(flight_df, hop_bytes):
     import time
 
     _, spec = CATALOG["q1"]
     t0 = time.perf_counter()
-    _, nbytes = compare_middleware(
-        flight_df, spec, bandwidth_mbps=None, return_bytes=True
-    )
+    compare_middleware(flight_df, spec, bandwidth_mbps=None)
     fast = time.perf_counter() - t0
-    slow_bw = max(0.05, nbytes / 1_000_000 / 2)  # ≥2s of simulated transfer
+    slow_bw = max(0.05, sum(hop_bytes) / 1_000_000 / 2)  # ≥2s of simulated transfer
     t0 = time.perf_counter()
     compare_middleware(flight_df, spec, bandwidth_mbps=slow_bw)
     slow = time.perf_counter() - t0

@@ -136,6 +136,18 @@ def test_detector_flags_stray_create_dataframe(tmp_path):
     assert stray_create_dataframe(src) == ["m.py:6: in inner", "m.py:8: in <module>"]
 
 
+def test_core_and_baselines_persist_nothing():
+    """Every consumer reads each aggregate once, so no strategy or baseline
+    persists (or caches) a relation."""
+    files = sorted(f for pkg in ("core", "baselines") for f in (SRC / pkg).rglob("*.py"))
+    assert any(f.name == "aggregates.py" for f in files)
+    hits = [
+        hit for f in files for callee in ("persist", "cache")
+        for hit in calls_outside(f, callee, None)
+    ]
+    assert hits == []
+
+
 TIE_ORDER_SELECTION = SRC / "core" / "exact.py", "select_rows"
 
 

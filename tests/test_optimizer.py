@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.aggregates import MergeGroup, persisted
+from repro.core.aggregates import MergeGroup
 from repro.core.basic import input_view
 from repro.core.compare import compare_topk
 from repro.core.exact import compare_topk_exact
@@ -182,7 +182,7 @@ class TestStatsCatalog:
         with _job_group(sc, "stats-catalog-compare") as compare_jobs:
             compare_topk(flight_df, spec, 3, strategy="compare", fds=fds).collect()
         with _job_group(sc, "stats-catalog-exact") as exact_jobs:
-            persisted()(compare_topk_exact)(flight_df, spec, 3, groups=groups).collect()
+            compare_topk_exact(flight_df, spec, 3, groups=groups).collect()
         assert len(compare_jobs()) == len(exact_jobs()) > 0
 
     @pytest.mark.parametrize("strategy", ["trendwise", "pruned"])

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core.aggregates import MergeGroup, persisted
+from repro.core.aggregates import MergeGroup
 from repro.core.compare import compare, compare_topk, topk_exact
 from repro.core.exact import compare_topk_exact
 from repro.core.pairs import output_schema
@@ -278,9 +278,7 @@ class TestSparkActions:
         groups = [MergeGroup(spec.gms)] if merged else None
         sc = spark.sparkContext
         counts = []
-        # compare_topk_pruned opens its own persisted() scope, as compare_topk does for both
-        exact = persisted()(compare_topk_exact)
-        for label, run in (("phi", compare_topk_pruned), ("exact", exact)):
+        for label, run in (("phi", compare_topk_pruned), ("exact", compare_topk_exact)):
             with _job_group(sc, f"phi-vs-exact-{name}-{merged}-{label}") as jobs:
                 run(df, spec, 3, groups=groups).collect()
             counts.append(len(jobs()))

@@ -7,6 +7,7 @@ path Algorithm 1 can choose), one output schema across strategies, and
 lazy trendwise's trend chunks.
 """
 import math
+import re
 
 import numpy as np
 import pandas as pd
@@ -45,6 +46,24 @@ def test_cross_grouping_merge_matches_oracle(request, name):
     groups = [MergeGroup(spec.gms)]
     out = compare_merged(df, spec, groups)
     check_against_oracle(out, spec, df)
+
+
+def test_merged_joins_once_per_block_and_caches_nothing(spark):
+    """Lazy ``merged`` joins a block's two sides once, whatever its number
+    of (g, m)s, and persists no aggregate: over an uncached input its
+    executed plan holds one join per block and no in-memory relation."""
+    from repro import synth_data as sd
+    from repro.core.aggregates import build_vector_blocks
+
+    _, spec = CATALOG["q4"]
+    df = sd.flights(spark, sf=0.002, n_airports=6, n_days=35)  # no fixture caches this plan
+    out = compare(df, spec, "merged")
+    check_against_oracle(out, spec, df)
+    plan = out._jdf.queryExecution().executedPlan().toString()
+    final = plan.split("== Initial Plan ==")[0]  # adaptive execution prints both
+    joins = re.findall(r"\b(\w*Join|CartesianProduct)\b", final)
+    assert len(spec.gms) > len(build_vector_blocks(df, spec)) == len(joins)
+    assert "InMemory" not in plan
 
 
 @pytest.mark.parametrize("name", ["ex1b", "q4"])
